@@ -195,7 +195,7 @@ def minhash_lsh_pairs(
     from .joins import hash_join
 
     # The semi-join is done BY the two inner hash_joins themselves: each
-    # bucket's pandas merge discards non-candidate docs, so nothing is ever
+    # bucket's join discards non-candidate docs, so nothing is ever
     # materialized on the driver and no candidate-id set is shipped into
     # tasks. (A driver collect of distinct candidate ids is O(corpus) on
     # heavily duplicated web corpora — 30-50% dup rates are normal — which
@@ -210,7 +210,7 @@ def minhash_lsh_pairs(
     #   the corpus at 64 buckets: it dominated the whole op's CPU);
     # * duplicate candidates (a pair surfacing from k>1 bands) co-locate in
     #   join 1 — its bucket hashes id_a, so every copy of (a, b) lands in
-    #   one bucket — and are dropped there (``bucket_post`` drop_duplicates),
+    #   one bucket — and are dropped there (``bucket_post`` keeps one copy),
     #   making the output distinct WITHOUT a dedicated dedup round;
     # * the Jaccard verify is FUSED into join 2's bucket UDF (sorted-array
     #   ``np.intersect1d`` per pair), so the widest intermediate (pair +
@@ -231,33 +231,31 @@ def minhash_lsh_pairs(
     docs_a = verify_docs.map_batches(_as("a"), batch_format="pyarrow")
     docs_b = verify_docs.map_batches(_as("b"), batch_format="pyarrow")
 
-    # explicit schema: an empty bucket's from_pandas would otherwise infer
-    # null-typed columns and break block-schema agreement
-    j1_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
-                           ("sh_a", pa.list_(pa.uint32()))])
-
-    def dedup_bucket(df: "pd.DataFrame") -> pa.Table:
-        out = df.drop_duplicates(["id_a", "id_b"])
-        return pa.Table.from_pandas(
-            out, schema=j1_schema, preserve_index=False
-        ).replace_schema_metadata(None)
+    def dedup_bucket(t: pa.Table) -> pa.Table:
+        # first row of each (id_a, id_b): the shingle payload is identical
+        # across copies, so any representative is exact
+        first = (t.select(["id_a", "id_b"])
+                 .append_column("__i", pa.array(np.arange(len(t), dtype=np.int64)))
+                 .group_by(["id_a", "id_b"]).aggregate([("__i", "min")]))
+        return t.take(first["__i_min"])
 
     with_a = hash_join(raw_pairs, docs_a, key="id_a", bucket_post=dedup_bucket)
 
-    def verify_bucket(df: "pd.DataFrame") -> pa.Table:
+    def verify_bucket(t: pa.Table) -> pa.Table:
+        def sets(col: str):
+            arr = t[col].combine_chunks()
+            vals, off = arr.values.to_numpy(), arr.offsets.to_numpy()
+            return [vals[off[i]:off[i + 1]] for i in range(len(arr))]
+
         keep = []
-        for sa, sb in zip(df["sh_a"], df["sh_b"]):
+        for sa, sb in zip(sets("sh_a"), sets("sh_b")):
             na, nb = len(sa), len(sb)
             if na == 0 or nb == 0:
                 keep.append(na == nb)  # both empty: Jaccard 1 by convention
                 continue
             inter = np.intersect1d(sa, sb, assume_unique=True).size
             keep.append(inter / (na + nb - inter) >= threshold)
-        out = df.loc[keep, ["id_a", "id_b"]]
-        return pa.table({
-            "id_a": pa.array(out["id_a"].to_numpy(), pa.int64()),
-            "id_b": pa.array(out["id_b"].to_numpy(), pa.int64()),
-        })
+        return t.filter(pa.array(keep, pa.bool_())).select(["id_a", "id_b"])
 
     return hash_join(with_a, docs_b, key="id_b", bucket_post=verify_bucket)
 

@@ -1,18 +1,20 @@
 """Join helpers for Ray Data (SURVEY.md §2.4 — the reference has no joins;
 the target pipeline adds broadcast lookups and a partitioned hash join).
 
-* ``broadcast_map_batch`` — small-side lookup: the mapping dict is put in the
+* ``BroadcastLookup`` — small-side lookup: the mapping dict is put in the
   object store ONCE (``ray.put`` on the driver) and resolved once per task
   from the local object store, never re-shipped per batch.
-* ``hash_join`` — both-sides-large equi-join expressed as
-  union-with-source-tag → bucketed ``groupby(__bucket).map_groups`` (an
-  explicit hash-partitioned join; the portable pattern from the Ray
-  guide). Inner join, one pandas merge per bucket. Single-column or
-  composite (key list) keys — rows route by the hash of the key tuple.
-* ``hash_left_join`` — LEFT OUTER variant; per-bucket Arrow native join so
-  unmatched int64 payloads become typed nulls (never NaN-float-promoted).
-* ``hash_anti_join`` / ``hash_semi_join`` — SQL NOT EXISTS / EXISTS; the
-  probe side ships only per-batch-distinct key tuples.
+* ``hash_join`` / ``hash_left_join`` / ``hash_semi_join`` /
+  ``hash_anti_join`` — both-sides-large equi-joins (SQL inner, LEFT OUTER,
+  EXISTS, NOT EXISTS). All four are thin wrappers over ONE bucketed plan
+  (the "join over UNION ALL" shape): both sides are tagged by source and
+  routed by ``shuffle.bucket_by`` on the (single or composite) key, one
+  grouped ``map_groups`` exchange gathers each bucket, and the bucket
+  is resolved by ONE Arrow ``Table.join`` over the key columns plus a
+  row-index column; payloads are then gathered with ``take``. SQL null
+  semantics (a null key matches nothing), exact int64 payloads (no pandas
+  float promotion) and list payloads (which ``Table.join`` rejects as
+  non-key fields) all follow from that shape.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
-
-def put_broadcast(obj) -> "ray.ObjectRef":
-    return ray.put(obj)
+from .shuffle import bucket_by
 
 
 class BroadcastLookup:
@@ -139,284 +140,129 @@ def _key_list(key) -> list[str]:
     return [key] if isinstance(key, str) else list(key)
 
 
-def _bucket_hash(t: pa.Table, keys: list[str], num_buckets: int) -> np.ndarray:
-    """hash(joined key cols) % num_buckets — the same kernel as
-    ``shuffle.bucket_by`` (single definition of separator + hash) so every
-    occurrence of a composite key co-locates regardless of which stage
-    routed it. For a single key the join is the identity, so single-key
-    routing is byte-identical to the pre-composite behavior."""
-    import pyarrow.compute as pc
-
-    from .shuffle import _SEP, hash_strings
-
-    joined = pc.binary_join_element_wise(
-        *[pc.cast(t[k], pa.string()) for k in keys], _SEP
-    )
-    if isinstance(joined, pa.ChunkedArray):
-        joined = joined.combine_chunks()
-    return (hash_strings(joined) % np.uint64(num_buckets)).astype(np.int64)
+def _fields(ds) -> dict[str, pa.DataType]:
+    """Column name -> Arrow type of a Dataset (pandas-block schemas report
+    numpy dtypes; object dtype is taken as string payload)."""
+    sch = ds.schema()
+    out = {}
+    for n, t in zip(sch.names, sch.types):
+        if not isinstance(t, pa.DataType):
+            try:
+                t = pa.from_numpy_dtype(np.dtype(t))
+            except (pa.ArrowNotImplementedError, TypeError):
+                t = pa.string()
+        out[n] = t
+    return out
 
 
-def hash_join(ds_a, ds_b, key, num_buckets: int = 64, bucket_post=None):
-    """Inner equi-join of two Datasets on ``key`` (a column name, or a LIST
-    of names for a composite key) via a bucketed hash shuffle.
+def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
+                   bucket_post=None):
+    """THE join kernel behind the four public wrappers. ``join_type`` is an
+    Arrow ``Table.join`` type: "inner", "left outer", "left semi" or
+    "left anti".
 
-    Used when neither side fits a broadcast (e.g. canonical-id application at
-    10^12-doc scale). Rows are routed by ``hash(key) % num_buckets`` and each
-    bucket is joined with ONE vectorized ``pandas.merge`` — the shuffle key
-    is a small int and the join UDF runs once per bucket, not once per
-    distinct key (a per-key ``map_groups`` costs a Python call + pandas
-    slice per key, which dominated profiles at ~100k keys). Payload
-    (non-key) column names must be disjoint. Both sides are reindexed to one
-    shared schema before the union so every block agrees on layout.
-
-    ``bucket_post``: optional ``pd.DataFrame -> pa.Table`` applied to each
-    bucket's merged frame INSIDE the join stage — fuses a post-join
-    transform (filter/projection) so wide joined payloads (e.g. both texts
-    of a candidate pair) are consumed where they were joined instead of
-    being re-blocked and shipped to a separate stage. The callback owns the
-    output schema (emit a metadata-free table, see join_bucket).
+    Both sides are reindexed to one shared tagged schema (keys, ``ds_a``
+    payloads, ``ds_b`` payloads, ``__src``; a side's missing payload
+    columns are typed nulls) so union blocks agree on layout, then routed
+    by ``bucket_by`` so every occurrence of a key co-locates. Semi/anti
+    joins never read ``ds_b`` payloads, so the probe side ships only its
+    per-batch-distinct key tuples. Inside a bucket the join runs on the
+    keys plus a row index only, and payloads follow by ``take`` (a null
+    right index — a left-outer miss — gathers a typed null).
     """
-    def _fields(ds):
-        sch = ds.schema()
-        out = {}
-        for n, t in zip(sch.names, sch.types):
-            if not isinstance(t, pa.DataType):
-                try:
-                    t = pa.from_numpy_dtype(np.dtype(t))
-                except (pa.ArrowNotImplementedError, TypeError):
-                    t = pa.string()  # pandas object dtype -> string payloads
-            out[n] = t
-        return out
-
     keys = _key_list(key)
-    fa, fb = _fields(ds_a), _fields(ds_b)
-    missing = [k for k in keys if k not in fa or k not in fb]
+    probe_only = join_type in ("left semi", "left anti")
+    # the probe side's keys are cast to ds_a's types, and its schema is
+    # never read (an all-empty Dataset has none)
+    fa = _fields(ds_a)
+    fb = {} if probe_only else _fields(ds_b)
+    missing = [k for k in keys if k not in fa or not (probe_only or k in fb)]
     if missing:
-        raise ValueError(f"hash_join key columns missing from a side: {missing}")
+        raise ValueError(f"join key columns missing from a side: {missing}")
     a_cols = [c for c in fa if c not in keys]
     b_cols = [c for c in fb if c not in keys]
     overlap = set(a_cols) & set(b_cols)
     if overlap:
-        raise ValueError(f"hash_join payload columns must be disjoint: {overlap}")
-    out_schema = pa.schema(
-        [(k, fa[k]) for k in keys] + [(c, fa[c]) for c in a_cols]
-        + [(c, fb[c]) for c in b_cols]
-    )
-
-    import pyarrow.compute as pc
-
-    # one shared tagged schema both sides reindex to (missing payload
-    # columns become typed nulls), so union blocks agree on layout
-    tagged_schema = pa.schema(
-        [(k, fa[k]) for k in keys] + [(c, fa[c]) for c in a_cols]
-        + [(c, fb[c]) for c in b_cols]
-        + [("__src", pa.int8()), ("__bucket", pa.int64())]
-    )
+        raise ValueError(f"join payload columns must be disjoint: {overlap}")
+    out_schema = pa.schema([(k, fa[k]) for k in keys]
+                           + [(c, fa[c]) for c in a_cols]
+                           + [(c, fb[c]) for c in b_cols])
+    tagged_schema = out_schema.append(pa.field("__src", pa.int8()))
 
     def tag(src: int, own_cols: list[str]):
-        # Arrow-native tag: no pandas copy per batch; the bucket is the
-        # shared vectorized string hash of the (composite) key columns
         def f(t: pa.Table) -> pa.Table:
+            if src == 1 and probe_only:
+                t = t.select(keys).group_by(keys).aggregate([])
             n = len(t)
-            buckets = _bucket_hash(t, keys, num_buckets)
             cols = []
             for field in tagged_schema:
                 if field.name == "__src":
                     cols.append(pa.array(np.full(n, src, dtype=np.int8)))
-                elif field.name == "__bucket":
-                    cols.append(pa.array(buckets, pa.int64()))
                 elif field.name in keys or field.name in own_cols:
                     cols.append(pc.cast(t[field.name], field.type))
                 else:
                     cols.append(pa.nulls(n, field.type))
-            return pa.table(dict(zip(tagged_schema.names, cols)))
+            return bucket_by(pa.Table.from_arrays(cols, schema=tagged_schema),
+                             keys, num_buckets)
 
         return f
 
     def join_bucket(g: pa.Table) -> pa.Table:
-        # filter sides in Arrow FIRST so each side's pandas view has no
-        # nulls (a null-bearing int64 column would float64-promote and
-        # corrupt ids above 2^53 in the merge)
-        left = g.filter(pc.equal(g["__src"], 0)).select([*keys, *a_cols]).to_pandas()
-        right = g.filter(pc.equal(g["__src"], 1)).select([*keys, *b_cols]).to_pandas()
-        merged = left.merge(right, on=keys, how="inner")
-        if bucket_post is not None:
-            return bucket_post(merged)
-        # explicit schema so empty groups still emit typed Arrow blocks;
-        # strip the b'pandas' schema metadata from_pandas attaches — it is a
-        # plain (unhashable) dict on this pyarrow, which defeats Ray's
-        # schema-dedup hash and floods logs with hash-failure warnings
-        return pa.Table.from_pandas(
-            merged, schema=out_schema, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    a_tagged = ds_a.map_batches(tag(0, a_cols), batch_format="pyarrow")
-    b_tagged = ds_b.map_batches(tag(1, b_cols), batch_format="pyarrow")
-    return a_tagged.union(b_tagged).groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
-
-
-def hash_anti_join(ds_a, ds_b, key, num_buckets: int = 64):
-    """Rows of ``ds_a`` whose ``key`` (one column or a composite key list)
-    appears NOWHERE in ``ds_b`` (SQL ``NOT EXISTS`` / anti equi-join).
-
-    Same bucketed exchange as :func:`hash_join` — both sides routed by the
-    vectorized ``hash(key) % num_buckets`` so every occurrence of a key
-    co-locates — but the probe side ships ONLY its per-batch-distinct key
-    column(s) (an anti join never reads right payloads), and each bucket is
-    resolved with one Arrow ``is_in`` mask over the joined key string: no
-    pandas, no per-key work. Exact at any parallelism.
-    """
-    return _semi_or_anti(ds_a, ds_b, key, num_buckets, keep_matching=False)
-
-
-def _semi_or_anti(ds_a, ds_b, key, num_buckets: int, keep_matching: bool):
-    """Shared kernel for :func:`hash_anti_join` (keep keys ABSENT from
-    ds_b) and :func:`hash_semi_join` (keep keys PRESENT in ds_b)."""
-    import pyarrow.compute as pc
-
-    from .shuffle import _SEP
-
-    keys = _key_list(key)
-    sch = ds_a.schema()
-    a_fields = list(zip(sch.names, sch.types))
-    a_names = [n for n, _ in a_fields]
-    a_types = dict(a_fields)
-    missing = [k for k in keys if k not in a_types]
-    if missing:
-        raise ValueError(f"hash_anti_join key columns missing from ds_a: {missing}")
-    tagged_schema = pa.schema(
-        a_fields + [("__src", pa.int8()), ("__bucket", pa.int64())]
-    )
-
-    def tag_a(t: pa.Table) -> pa.Table:
-        buckets = _bucket_hash(t, keys, num_buckets)
-        cols = [pc.cast(t[n], ty) for n, ty in a_fields]
-        cols.append(pa.array(np.zeros(len(t), dtype=np.int8)))
-        cols.append(pa.array(buckets, pa.int64()))
-        return pa.table(dict(zip(tagged_schema.names, cols)))
-
-    def tag_b(t: pa.Table) -> pa.Table:
-        # per-batch distinct key tuples only: the anti side's payload never
-        # crosses the wire, and repeats collapse before the shuffle
-        kt = pa.table(
-            {k: pc.cast(t[k], a_types[k]) for k in keys}
-        ).group_by(keys).aggregate([])
-        buckets = _bucket_hash(kt, keys, num_buckets)
-        cols = []
-        for n, ty in a_fields:
-            cols.append(kt[n].combine_chunks() if n in keys
-                        else pa.nulls(len(kt), ty))
-        cols.append(pa.array(np.ones(len(kt), dtype=np.int8)))
-        cols.append(pa.array(buckets, pa.int64()))
-        return pa.table(dict(zip(tagged_schema.names, cols)))
-
-    def _joined_key(t: pa.Table):
-        if len(keys) == 1:
-            return t[keys[0]].combine_chunks()
-        j = pc.binary_join_element_wise(
-            *[pc.cast(t[k], pa.string()) for k in keys], _SEP
-        )
-        return j.combine_chunks() if isinstance(j, pa.ChunkedArray) else j
-
-    def anti_bucket(g: pa.Table) -> pa.Table:
         left = g.filter(pc.equal(g["__src"], 0))
         right = g.filter(pc.equal(g["__src"], 1))
-        keep = pc.is_in(_joined_key(left), value_set=_joined_key(right).unique())
-        if not keep_matching:
-            keep = pc.invert(keep)
-        return left.filter(keep).select(a_names)
+        lk = left.select(keys).append_column(
+            "__l", pa.array(np.arange(len(left), dtype=np.int64)))
+        rk = right.select(keys)
+        if not probe_only:
+            rk = rk.append_column(
+                "__r", pa.array(np.arange(len(right), dtype=np.int64)))
+        j = lk.join(rk, keys=keys, join_type=join_type)
+        cols = left.select([*keys, *a_cols]).take(j["__l"]).columns
+        if b_cols:
+            cols += right.select(b_cols).take(j["__r"]).columns
+        out = pa.Table.from_arrays(cols, schema=out_schema)
+        return out if bucket_post is None else bucket_post(out)
 
     return (
-        ds_a.map_batches(tag_a, batch_format="pyarrow")
-        .union(ds_b.map_batches(tag_b, batch_format="pyarrow"))
+        ds_a.map_batches(tag(0, a_cols), batch_format="pyarrow")
+        .union(ds_b.map_batches(tag(1, b_cols), batch_format="pyarrow"))
         .groupby("__bucket")
-        .map_groups(anti_bucket, batch_format="pyarrow")
+        .map_groups(join_bucket, batch_format="pyarrow")
     )
+
+
+def hash_join(ds_a, ds_b, key, num_buckets: int = 64, bucket_post=None):
+    """Inner equi-join of two Datasets on ``key`` (a column name, or a LIST
+    of names for a composite key). Payload (non-key) column names must be
+    disjoint; output is (keys, ``ds_a`` payloads, ``ds_b`` payloads).
+
+    Used when neither side fits a broadcast (e.g. canonical-id application
+    at 10^12-doc scale). ``bucket_post``: optional ``pa.Table -> pa.Table``
+    applied to each bucket's joined table INSIDE the join stage — fuses a
+    post-join transform (filter/projection) so wide joined payloads (e.g.
+    both shingle arrays of a candidate pair) are consumed where they were
+    joined instead of being re-blocked and shipped to a separate stage. The
+    callback owns the output schema (return the same schema for every
+    bucket, empty ones included).
+    """
+    return _bucketed_join(ds_a, ds_b, key, "inner", num_buckets, bucket_post)
 
 
 def hash_left_join(ds_a, ds_b, key, num_buckets: int = 64):
     """LEFT OUTER equi-join on ``key`` (single column or composite list):
     every ``ds_a`` row survives, matched ``ds_b`` payloads attach, misses
-    get typed nulls.
-
-    Same bucketed exchange as :func:`hash_join`, but each bucket resolves
-    with Arrow's native ``Table.join(join_type="left outer")`` instead of
-    a pandas merge — pandas would float64-promote unmatched int64 payloads
-    (NaN), corrupting ids above 2^53; Arrow emits typed nulls directly.
-    """
-    import pyarrow.compute as pc
-
-    keys = _key_list(key)
-
-    def _fields(ds):
-        sch = ds.schema()
-        out = {}
-        for n, t in zip(sch.names, sch.types):
-            if not isinstance(t, pa.DataType):
-                try:
-                    t = pa.from_numpy_dtype(np.dtype(t))
-                except (pa.ArrowNotImplementedError, TypeError):
-                    t = pa.string()
-            out[n] = t
-        return out
-
-    fa, fb = _fields(ds_a), _fields(ds_b)
-    missing = [k for k in keys if k not in fa or k not in fb]
-    if missing:
-        raise ValueError(f"hash_left_join key columns missing from a side: {missing}")
-    a_cols = [c for c in fa if c not in keys]
-    b_cols = [c for c in fb if c not in keys]
-    overlap = set(a_cols) & set(b_cols)
-    if overlap:
-        raise ValueError(f"hash_left_join payload columns must be disjoint: {overlap}")
-    out_names = [*keys, *a_cols, *b_cols]
-
-    tagged_schema = pa.schema(
-        [(k, fa[k]) for k in keys] + [(c, fa[c]) for c in a_cols]
-        + [(c, fb[c]) for c in b_cols]
-        + [("__src", pa.int8()), ("__bucket", pa.int64())]
-    )
-
-    def tag(src: int, own_cols: list[str]):
-        def f(t: pa.Table) -> pa.Table:
-            n = len(t)
-            buckets = _bucket_hash(t, keys, num_buckets)
-            cols = []
-            for field in tagged_schema:
-                if field.name == "__src":
-                    cols.append(pa.array(np.full(n, src, dtype=np.int8)))
-                elif field.name == "__bucket":
-                    cols.append(pa.array(buckets, pa.int64()))
-                elif field.name in keys or field.name in own_cols:
-                    cols.append(pc.cast(t[field.name], field.type))
-                else:
-                    cols.append(pa.nulls(n, field.type))
-            return pa.table(dict(zip(tagged_schema.names, cols)))
-
-        return f
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        left = g.filter(pc.equal(g["__src"], 0)).select([*keys, *a_cols])
-        right = g.filter(pc.equal(g["__src"], 1)).select([*keys, *b_cols])
-        out = left.combine_chunks().join(
-            right.combine_chunks(), keys=keys, join_type="left outer"
-        )
-        return out.select(out_names).replace_schema_metadata(None)
-
-    a_tagged = ds_a.map_batches(tag(0, a_cols), batch_format="pyarrow")
-    b_tagged = ds_b.map_batches(tag(1, b_cols), batch_format="pyarrow")
-    return a_tagged.union(b_tagged).groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
+    get typed nulls (int64 stays int64 — exact above 2^53)."""
+    return _bucketed_join(ds_a, ds_b, key, "left outer", num_buckets)
 
 
 def hash_semi_join(ds_a, ds_b, key, num_buckets: int = 64):
-    """Rows of ``ds_a`` whose ``key`` (single or composite) appears at
-    least once in ``ds_b`` (SQL ``EXISTS`` / semi equi-join) — the
-    complement of :func:`hash_anti_join`, with the same probe-side
-    contract: ``ds_b`` ships only per-batch-distinct key tuples.
-    """
-    return _semi_or_anti(ds_a, ds_b, key, num_buckets, keep_matching=True)
+    """Rows of ``ds_a`` whose ``key`` (single or composite) equals some
+    ``ds_b`` key (SQL ``EXISTS``); left duplicates are kept, each once."""
+    return _bucketed_join(ds_a, ds_b, key, "left semi", num_buckets)
+
+
+def hash_anti_join(ds_a, ds_b, key, num_buckets: int = 64):
+    """Rows of ``ds_a`` whose ``key`` (single or composite) equals NO
+    ``ds_b`` key (SQL ``NOT EXISTS``) — null keys never match, so a left
+    row with a null key component always survives."""
+    return _bucketed_join(ds_a, ds_b, key, "left anti", num_buckets)

@@ -153,10 +153,10 @@ def lineitems_per_supplier_nation(sf_dir: str) -> Dataset:
     supp = _dim_table(f"{sf_dir}/supplier.parquet",
                       columns=["s_suppkey", "s_nationkey"])
     nation = _dim_table(f"{sf_dir}/nation.parquet")
-    from .joins import BroadcastLookup, put_broadcast
+    from .joins import BroadcastLookup
 
-    nk_ref = put_broadcast(dict(zip(supp["s_suppkey"], supp["s_nationkey"])))
-    name_ref = put_broadcast(dict(zip(nation["n_nationkey"], nation["n_name"])))
+    nk_ref = ray.put(dict(zip(supp["s_suppkey"], supp["s_nationkey"])))
+    name_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
     from .shuffle import grouped_agg
 
     keyed = per_supp.map_batches(

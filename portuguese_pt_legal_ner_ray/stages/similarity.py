@@ -465,21 +465,29 @@ def ivf_build(
     independent of corpus size. Build cost amortizes across query sets, the
     same trade every production ANN index makes. Partitioned output doubles
     as resumable/rebalanceable storage (one directory per cell).
+
+    A complete index already at ``index_dir`` is replaced (a rebuild). One
+    that another builder publishes there while this build runs is kept,
+    and its centroids are returned.
     """
     import os
     import shutil
     from pathlib import Path
 
+    index = Path(index_dir)
+    marker = index / "centroids.npy"
+    # identity of the complete index this build may replace (a deliberate
+    # rebuild); any OTHER marker seen at publish time is a concurrent build
+    prior = _marker_id(marker)
     if train_iters > 0:
         cents = kmeans_centroids(vectors, n_cells, train_iters, emb_col, id_col)
     else:
         cents = deterministic_centroids(vectors, n_cells, emb_col, id_col)
-    index = Path(index_dir)
     if index.exists():
         # refuse to delete a directory that is not a previous index: an
         # unconditional rmtree at a caller-supplied path would destroy
         # arbitrary data on a typo (e.g. pointing at the corpus dir)
-        is_prior_index = (index / "centroids.npy").exists() or (
+        is_prior_index = marker.exists() or (
             index.is_dir() and not any(index.iterdir())
         )
         if not is_prior_index:
@@ -519,17 +527,29 @@ def ivf_build(
         .write_parquet(str(build / "cells"), partition_cols=["cell"])
     )
     np.save(build / "centroids.npy", cents)
-    if index.exists():
-        shutil.rmtree(index)
+    # re-check the marker right before publishing: a concurrent builder
+    # that published a complete index during this build wins (removing it
+    # would pull files from under its readers), so drop ours and use theirs
+    if _marker_id(marker) in (None, prior):
+        if index.exists():
+            shutil.rmtree(index)
+        try:
+            os.replace(build, index)
+            return cents
+        except OSError:  # published in the instant since the re-check
+            if not marker.exists():
+                raise
+    shutil.rmtree(build, ignore_errors=True)
+    return np.load(marker)
+
+
+def _marker_id(marker) -> tuple[int, int] | None:
+    """(inode, mtime_ns) of an index's ``centroids.npy``, None if absent."""
     try:
-        os.replace(build, index)
-    except OSError:
-        # a concurrent build published the same path first; theirs is
-        # complete (publish is atomic), so drop ours and use it
-        if not (index / "centroids.npy").exists():
-            raise
-        shutil.rmtree(build, ignore_errors=True)
-    return cents
+        st = marker.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
 
 
 def ivf_query(

@@ -282,8 +282,11 @@ def binned_quantiles(ds: Dataset, col: str, qs: list[float],
     from ray.data.aggregate import Count, Max, Min
 
     vals = ds.select_columns([col])
-    stats = vals.aggregate(Min(col), Max(col), Count())
-    total = int(stats["count()"])
+    # count non-null values only: the histograms drop nulls, so counting
+    # them would shift every rank (DuckDB's quantile_disc ignores nulls)
+    stats = vals.aggregate(Min(col), Max(col),
+                           Count(col, ignore_nulls=True, alias_name="n"))
+    total = int(stats["n"] or 0)
     if total == 0:
         return pd.DataFrame([{"q": float(q), "value": float("nan")} for q in qs])
     glo, ghi = float(stats[f"min({col})"]), float(stats[f"max({col})"])
@@ -468,17 +471,22 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
     vals = ds.select_columns([*group_cols, value_col])
 
     def with_one(t: pa.Table) -> pa.Table:
-        return t.append_column("__one", pa.array(np.ones(len(t), np.int64)))
+        # n counts non-null values only (DuckDB's quantile_disc ignores
+        # nulls); min/max already skip them
+        valid = pc.cast(pc.is_valid(t[value_col]), pa.int64())
+        return t.append_column("__one", valid)
 
-    stats = grouped_agg(
+    # one row per group — driver-sized by contract
+    parts = list(grouped_agg(
         vals.map_batches(with_one, batch_format="pyarrow"),
         group_cols,
         {"lo": (value_col, "min"), "hi": (value_col, "max"),
          "n": ("__one", "sum")},
-    ).to_pandas()  # one row per group — driver-sized by contract
-    if stats.empty:
+    ).iter_batches(batch_format="pyarrow"))
+    if not sum(len(p) for p in parts):
         return pd.DataFrame(columns=[*group_cols, "q", "value"])
-    stats = stats.sort_values(group_cols).reset_index(drop=True)
+    stats_t = pa.concat_tables(parts).sort_by([(c, "ascending") for c in group_cols])
+    stats = stats_t.to_pandas()
 
     def joined_key(t: pa.Table):
         j = pc.binary_join_element_wise(
@@ -486,17 +494,19 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
         )
         return j.combine_chunks() if isinstance(j, pa.ChunkedArray) else j
 
-    gkeys = [
-        _SEP.join(str(v) for v in row)
-        for row in zip(*[stats[c] for c in group_cols])
-    ]
+    def non_null(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_valid(t[value_col]))
+
+    # group keys through the SAME Arrow cast that matches rows below
+    # (Python str() spells True/2.0 where Arrow's cast gives true/2)
+    gkeys = joined_key(stats_t)
     n_groups = len(gkeys)
     lo_arr = stats["lo"].to_numpy(dtype=np.float64)
     hi_arr = stats["hi"].to_numpy(dtype=np.float64)
     B = int(num_bins)
     import ray as _ray
 
-    gkeys_ref = _ray.put(pa.array(gkeys, pa.string()))
+    gkeys_ref = _ray.put(gkeys)
     bounds_ref = _ray.put((lo_arr, hi_arr))
 
     def gids(t: pa.Table) -> np.ndarray:
@@ -507,6 +517,7 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
 
     def level_hist(t: pa.Table) -> pa.Table:
         lo_a, hi_a = _ray.get(bounds_ref)
+        t = non_null(t)
         gid = gids(t)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         width = hi_a[gid] - lo_a[gid]
@@ -543,6 +554,9 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
         total = int(stats["n"].iloc[gi])
         cum = np.cumsum(agg_n[gi * B:(gi + 1) * B])
         for q in qs:
+            if total == 0:  # all values null: SQL NULL
+                resolved[(gi, float(q))] = float("nan")
+                continue
             rank = max(1, math.ceil(float(q) * total))
             j = int(np.searchsorted(cum, rank, side="left"))
             rank_in_bin = rank - (int(cum[j - 1]) if j > 0 else 0)
@@ -563,6 +577,7 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
         def take_small(t: pa.Table) -> pa.Table:
             lo_a, hi_a = _ray.get(bounds_ref)
             want = _ray.get(cells_ref)
+            t = non_null(t)
             gid = gids(t)
             v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
             width = hi_a[gid] - lo_a[gid]
@@ -593,7 +608,7 @@ def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
         # ceil(q' * n_sub) == rank_in_bin robustly (the 0.5 slack dwarfs
         # any float64 rounding; a bare rank/n_sub ratio could ceil to
         # rank_in_bin + 1 on an upward-rounded product).
-        def only(t: pa.Table, g=gkeys[gi], lo=clo, hi=chi) -> pa.Table:
+        def only(t: pa.Table, g=gkeys[gi].as_py(), lo=clo, hi=chi) -> pa.Table:
             t = t.filter(pc.equal(joined_key(t), g))
             v = t[value_col]
             keep = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))

@@ -516,6 +516,38 @@ def test_binned_quantiles_exact_vs_duckdb(ray_session):
     assert len(out) == 1 and np.isnan(out["value"].iloc[0])
 
 
+def test_binned_quantiles_ignores_nulls_vs_duckdb(ray_session):
+    """Null values are not ranked: quantile_disc over a column with nulls
+    == DuckDB's (which skips them), on both the collect and the forced
+    recursion path — counting null rows shifted every rank (q=0.5 read
+    the 70th value) and pushed q=0.99 past the last bin (IndexError).
+    An all-null column answers NaN (SQL NULL)."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages.sketches import binned_quantiles
+
+    v = [float(i) for i in range(1, 101)] + [None] * 40
+    np.random.default_rng(5).shuffle(v)
+    tbl = pa.table({"x": pa.array(v, pa.float64())})
+    qs = [0.01, 0.5, 0.9, 0.99, 1.0]
+    con = duckdb.connect()
+    con.register("t", tbl)
+    want = {q: con.sql(f"SELECT quantile_disc(x, {q}) FROM t").fetchone()[0]
+            for q in qs}
+    assert want[0.5] == 50.0
+    for parts, bins, refine in [(1, 4096, 200_000), (5, 4, 10)]:
+        got = binned_quantiles(ray.data.from_arrow(tbl).repartition(parts),
+                               "x", qs, num_bins=bins, max_refine_rows=refine)
+        for _, row in got.iterrows():
+            assert row["value"] == want[row["q"]], (parts, bins, row["q"])
+    nulls = pa.table({"x": pa.array([None] * 5, pa.float64())})
+    out = binned_quantiles(ray.data.from_arrow(nulls), "x", [0.5])
+    assert np.isnan(out["value"].iloc[0])
+
+
 def test_pytest_only_registry_drops_match_duckdb(ray_session):
     """The three shape-redundant queries consolidated out of the 50-entry
     gate registry in r5 (rel_parts_per_brand, docs_top10_longest-style
@@ -665,6 +697,70 @@ def test_hash_semi_join_matches_pandas(ray_session):
     assert len(semi) + len(anti) == len(left)
 
 
+def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session):
+    """All four bucketed joins == DuckDB on the edge cases the pandas
+    references cannot judge (pandas merge itself matches null keys):
+    composite string keys CONTAINING the key-join separator '\x1f' (two
+    different tuples that join to the same string must not match), null
+    key components on both sides (a null matches nothing: inner/semi drop
+    the row, left/anti keep it), and int64 payloads above 2^53 in a bucket
+    that also holds null payloads (no float64 round-trip)."""
+    import duckdb
+    import pyarrow as pa
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages.joins import (
+        hash_anti_join,
+        hash_join,
+        hash_left_join,
+        hash_semi_join,
+    )
+
+    big = 2**60 + 3
+    left = pa.table({
+        "k1": ["a\x1fb", "a", None, "x", "x", "m", "m"],
+        "k2": ["c", "b\x1fc", "z", "y", None, "n", "n"],
+        "p": pa.array([1, 2, 3, 4, 5, 6, 7], pa.int64()),
+        "v": pa.array([big, None, big + 1, big + 2, None, None, big + 4],
+                      pa.int64()),
+    })
+    right = pa.table({
+        "k1": ["a", None, "x", "x", "m", "q"],
+        "k2": ["b\x1fc", "z", "y", None, "n", "r"],
+        "w": pa.array([2**62 + 1, 5, None, 7, 2**55 + 9, 1], pa.int64()),
+    })
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    on = "l.k1 = r.k1 AND l.k2 = r.k2"
+    sql = {
+        "inner": f"SELECT l.*, r.w FROM l JOIN r ON {on}",
+        "left": f"SELECT l.*, r.w FROM l LEFT JOIN r ON {on}",
+        "semi": f"SELECT * FROM l WHERE EXISTS (SELECT 1 FROM r WHERE {on})",
+        "anti": f"SELECT * FROM l WHERE NOT EXISTS (SELECT 1 FROM r WHERE {on})",
+    }
+    joins = {"inner": hash_join, "left": hash_left_join,
+             "semi": hash_semi_join, "anti": hash_anti_join}
+
+    def rows(t: pa.Table) -> list:
+        # exact Python ints via Arrow (a pandas hop would float-promote)
+        return sorted((tuple(r.values()) for r in t.to_pylist()), key=repr)
+
+    for name, fn in joins.items():
+        want = rows(con.sql(sql[name]).arrow())
+        cols = ["k1", "k2", "p", "v"] + (["w"] if name in ("inner", "left") else [])
+        for nb in (1, 64):  # 1 bucket: nulls and 2^60 payloads co-locate
+            out = fn(ray.data.from_arrow(left).repartition(3),
+                     ray.data.from_arrow(right).repartition(2),
+                     key=["k1", "k2"], num_buckets=nb)
+            got = pa.concat_tables(
+                [t.select(cols) for t in out.iter_batches(batch_format="pyarrow")])
+            assert rows(got) == want, (name, nb)
+    # the fixture reaches every edge: separator-aliased and null-keyed rows
+    # are excluded by inner/semi and kept by left/anti
+    assert sorted(r[2] for r in rows(con.sql(sql["anti"]).arrow())) == [1, 3, 5]
+
+
 def test_grouped_binned_quantiles_exact_vs_duckdb(ray_session):
     """grouped_binned_quantiles == DuckDB quantile_disc PER GROUP on a
     continuous (mostly unique) value column — unbounded per-group value
@@ -706,3 +802,33 @@ def test_grouped_binned_quantiles_exact_vs_duckdb(ray_session):
         for _, row in got.iterrows():
             assert row["value"] == want[(row["grp"], row["q"])], \
                 (parts, refine, row["grp"], row["q"])
+
+    # non-string group keys (bool, float: Python str() spells True/2.0,
+    # Arrow's cast true/2) and null values (skipped, not ranked; an
+    # all-null group answers SQL NULL), on the collect and recursion paths
+    i = np.arange(2000)
+    f = np.where(i % 3 == 0, 2.0, 0.5)
+    f[i % 50 == 1] = 1.25  # the 1.25 group holds only nulls
+    etbl = pa.table({
+        "b": pa.array(i % 2 == 0),
+        "f": pa.array(f),
+        "s": pa.array(np.where(i % 2 == 0, "even", "odd")),
+        "x": pa.array(rng.lognormal(3, 1.0, len(i)),
+                      mask=(i % 7 == 0) | (f == 1.25)),
+    })
+    con.register("e", etbl)
+    for gcol in ("b", "f", "s"):
+        ewant = {}
+        for q in qs:
+            for g, val in con.sql(f"SELECT {gcol}, quantile_disc(x, {q}) "
+                                  f"FROM e GROUP BY {gcol}").fetchall():
+                ewant[(g, q)] = val
+        for parts, refine in [(1, 200_000), (5, 50)]:
+            got = grouped_binned_quantiles(
+                ray.data.from_arrow(etbl).repartition(parts), [gcol], "x",
+                qs, num_bins=64, max_refine_rows=refine)
+            assert len(got) == len(ewant), (gcol, parts)
+            for _, row in got.iterrows():
+                w = ewant[(row[gcol], row["q"])]
+                assert (np.isnan(row["value"]) if w is None
+                        else row["value"] == w), (gcol, parts, row[gcol], row["q"])

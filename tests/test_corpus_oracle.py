@@ -123,3 +123,26 @@ def test_atomic_publish_crash_debris_and_race(tmp_path):
     atomic_publish(tmp2, final)  # loses the race -> no-op on final
     assert (final / "data.txt").read_text() == "good"
     assert not tmp2.exists()
+
+
+def test_registry_has_fifty_queries_each_with_oracle_sql(monkeypatch):
+    """The driver's correctness window holds exactly 50 queries, and every
+    registered query has an oracle SQL (and no oracle is orphaned). The
+    golden builders oracle_sql() calls first are stubbed: only the
+    registry keys are checked, so nothing is generated."""
+    from pathlib import Path
+
+    import portuguese_pt_legal_ner_ray.oracle as oracle
+    import portuguese_pt_legal_ner_ray.oracle_mirrors as mirrors
+    import portuguese_pt_legal_ner_ray.sources.multimodal as mm
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    for mod, name in [(oracle, "ensure_goldens"),
+                      (mirrors, "ensure_mirror_goldens"),
+                      (mm, "ensure_media_table")]:
+        monkeypatch.setattr(mod, name, lambda *_a, **_k: Path("unused"))
+    import __ray_entry__
+
+    qs = __ray_entry__.queries()
+    assert len(qs) == 50
+    assert set(qs) == set(__ray_entry__.oracle_sql())

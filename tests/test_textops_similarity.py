@@ -727,6 +727,56 @@ def test_ivf_build_atomic_publish_survives_interrupt(ray_session, tmp_path):
     assert (index / "centroids.npy").exists()
 
 
+def test_ivf_build_keeps_index_published_mid_build(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Two builders racing for one fresh path: the one that publishes a
+    complete index while the other is still building wins. The late
+    builder must not delete the published index (its readers may be
+    serving from it); it drops its own build and returns the published
+    centroids without error."""
+    import shutil
+
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages import similarity
+    from portuguese_pt_legal_ner_ray.stages.similarity import (
+        brute_force_topk,
+        ivf_build,
+        ivf_query,
+        make_query_ref,
+    )
+
+    rng = np.random.default_rng(13)
+    vecs = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(60), pa.int64()),
+        "embedding": pa.array([list(map(float, r))
+                               for r in rng.normal(size=(60, 4))],
+                              pa.list_(pa.float32())),
+    }))
+    theirs = tmp_path / "theirs"
+    their_cents = ivf_build(vecs, theirs, n_cells=2)
+    (theirs / "published-by-other-builder").touch()
+    index = tmp_path / "ivf_race"
+
+    real = similarity.deterministic_centroids
+
+    def publish_then_train(*a, **k):
+        shutil.copytree(theirs, index)  # the other builder publishes now
+        return real(*a, **k)
+
+    monkeypatch.setattr(similarity, "deterministic_centroids", publish_then_train)
+    cents = ivf_build(vecs, index, n_cells=4)
+    assert (index / "published-by-other-builder").exists()
+    assert np.array_equal(cents, their_cents)
+    assert not list(index.parent.glob(f".{index.name}.build-*"))
+    qref = make_query_ref(vecs, [0, 59])
+    key = ["query_id", "vec_id"]
+    got = ivf_query(index, qref, k=5, nprobe=2).to_pandas()
+    exact = brute_force_topk(vecs, qref, k=5).to_pandas()
+    assert got.sort_values(key).reset_index(drop=True).equals(
+        exact.sort_values(key).reset_index(drop=True))
+
+
 def test_char_jaccard_matches_duckdb(ray_session):
     """char_jaccard_pairs (the guarded O(n^2) oracle baseline, moved to
     pytest-only coverage in r5's registry consolidation) == DuckDB
