@@ -71,8 +71,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for rec in Manifest(args.out_dir).all_records():
         line = {k: rec[k] for k in ("stage", "partition", "engine_version")}
         line.update({k: v for k, v in rec.items()
-                     if k in ("pages", "paragraphs", "mentions", "nodes",
-                              "edges", "triples", "errors", "cc_path")})
+                     if k in ("pages", "paragraphs", "link_keys", "nodes",
+                              "edges", "triples", "errors", "link_path",
+                              "phases")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):
         # reference src/tracking.py:253-272 parity: confusion matrix saved

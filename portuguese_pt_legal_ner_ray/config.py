@@ -109,10 +109,11 @@ class PipelineConfig:
     confidence_threshold: float = CONFIDENCE_THRESHOLD
     linking: LinkingConfig = field(default_factory=LinkingConfig)
     ner_batch_size: int = 1024
-    # actor pool size (min, max); None -> autoscale to (1, cluster CPUs)
+    # cap on concurrent NER tasks: an int, or the upper bound of a
+    # (min, max) tuple; None -> Ray's default (as many as resources allow)
     ner_concurrency: int | tuple[int, int] | None = None
-    # extra ray_remote_args for the NER actor pool, e.g.
-    # {"num_gpus": 0.25} to pack 4 model actors per GPU or
+    # extra ray_remote_args for the NER tasks, e.g.
+    # {"num_gpus": 0.25} to pack 4 model tasks per GPU or
     # {"num_cpus": 2} for multi-threaded tokenizers (SURVEY.md §2.3 A1
     # maps the model stage to map_batches(..., num_gpus=g); the reference
     # auto-places on CUDA, src/inference.py:75-84). Pure placement knob —

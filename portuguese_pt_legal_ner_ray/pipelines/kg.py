@@ -3,78 +3,71 @@ generalized per BASELINE.json north_star).
 
 Layout under ``out_dir``::
 
-    extracted/part=<p>/   url, lang, text          (stage "extract_text")
-    extraction/part=<p>/  nested paragraph rows     (stage "ner")
-    graph/{spans,triples,paragraphs,mentions,nodes,edges}/   (stage "graph")
+    extracted/part=<p>/   url, lang, text          (stage "extract")
+    extraction/part=<p>/  nested paragraph rows     (stage "extract")
+    graph/{spans,triples,errors,nodes,edges}/       (stage "graph")
     _manifest/            per-(stage, partition) checkpoint rows
 
 Partitioning: input parquet fragments are grouped into ``num_partitions``
-groups; each group runs as one streamed Ray Data job and checkpoints
+groups; each group is extracted by its own Ray Data jobs and checkpoints
 independently — a failed run resumes by skipping partitions whose manifest
-row exists (kill-and-resume test in tests/test_resume.py). At 100 TB the
-partition is the unit of retry (~TB-scale file groups), while Ray's
+row exists (kill-and-resume test in tests/test_kill_resume.py). At 100 TB
+the partition is the unit of retry (~TB-scale file groups), while Ray's
 streaming executor parallelizes freely *within* each group.
 
 The wide section (linking + graph) runs once over all extraction output —
 its inputs (distinct entities, triples) are orders of magnitude smaller than
 the corpus.
+
+Every stage runs on Ray task workers; there is no actor pool, so no stage
+holds CPUs that read tasks wait for (the pipeline progresses on a
+one-CPU Ray). Stateful steps (the NER tagger, the mention-key memo) keep
+their state per worker process instead. Of the tables the pipeline writes,
+only ``extraction/`` is read back: ``extracted/`` and
+``graph/{spans,triples,errors}`` are outputs for queries and users.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import re
 import shutil
+import time
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
 from ..config import PipelineConfig
+from ..stages import linking
 from ..stages.extract import (
-    NerTripleStage,
     explode_batch,
     extract_text_batch,
     flatten_spans,
     flatten_triples,
+    ner_triples_task,
 )
-from ..stages.graph import build_edges, build_nodes
-from ..stages.shuffle import pool_size
-from ..stages.linking import BandStage, candidate_pairs, canonicalize, spans_to_mentions
+from ..stages.graph import build_edges, build_nodes, make_apply_comp, nodes_from_comp
+from ..stages.shuffle import grouped_agg
 from ..state.manifest import Manifest, parquet_row_count
-
-GRAPH_TABLES = ("spans", "triples", "nodes", "edges")
-
-
-def _resolve_concurrency(cfg: PipelineConfig) -> int | tuple[int, int]:
-    """None -> autoscale the NER actor pool to the limiting resource.
-
-    CPU-only taggers scale to the session's CPU count. When
-    ``ner_ray_remote_args`` claims GPUs (the HFTagger deployment shape),
-    the pool ceiling is the cluster's GPU budget divided by the per-actor
-    claim instead — a CPU-sized ceiling would queue dozens of actors
-    waiting on GPUs they can never get, and Ray's autoscaling pool keeps
-    the pending-actor warning noise forever. See ARCHITECTURE.md "GPU
-    deployment recipe".
-    """
-    if cfg.ner_concurrency is not None:
-        return cfg.ner_concurrency
-    gpu_claim = float((cfg.ner_ray_remote_args or {}).get("num_gpus", 0) or 0)
-    if gpu_claim > 0:
-        gpus = float(ray.cluster_resources().get("GPU", 0))
-        return (1, max(1, int(gpus / gpu_claim)))
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return (1, max(2, cpus))
 
 
 def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
-    """The full ``map_batches`` kwargs for the NER actor-pool stage.
+    """The full ``map_batches`` kwargs for the task-mode NER stage.
 
-    ``cfg.ner_ray_remote_args`` (e.g. ``{"num_gpus": 0.25}`` for a real
-    HF checkpoint) is splatted last so accelerator/CPU claims reach Ray's
-    actor scheduler — SURVEY.md §2.3 A1's ``num_gpus=g`` mapping. It is a
-    placement-only knob (excluded from the resume fingerprint), so keys
-    that would change outputs or batching are rejected."""
-    reserved = {"batch_format", "batch_size", "concurrency",
+    ``cfg`` reaches ``ner_triples_task`` through ``fn_kwargs``.
+    ``cfg.ner_concurrency`` caps the concurrent NER tasks: an int, or the
+    upper bound of a ``(min, max)`` tuple (Ray takes only an int for a
+    function); None leaves it to Ray. ``cfg.ner_ray_remote_args`` (e.g.
+    ``{"num_gpus": 0.25}``) is splatted last so accelerator/CPU claims reach
+    Ray's scheduler — SURVEY.md §2.3 A1's ``num_gpus=g`` mapping. It is a
+    placement-only knob (excluded from the resume fingerprint), so keys that
+    would change outputs or batching are rejected."""
+    reserved = {"batch_format", "batch_size", "concurrency", "fn_kwargs",
                 "fn_constructor_kwargs"}
     bad = reserved & set(cfg.ner_ray_remote_args or {})
     if bad:
@@ -87,9 +80,11 @@ def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
     kwargs: dict = dict(
         batch_format="pyarrow",
         batch_size=cfg.ner_batch_size,
-        concurrency=_resolve_concurrency(cfg),
-        fn_constructor_kwargs=dict(cfg=cfg),
+        fn_kwargs=dict(cfg=cfg),
     )
+    cap = cfg.ner_concurrency
+    if cap is not None:
+        kwargs["concurrency"] = cap[1] if isinstance(cap, tuple) else cap
     kwargs.update(cfg.ner_ray_remote_args or {})
     return kwargs
 
@@ -114,6 +109,12 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
                       input_sig: list[list] | None = None) -> dict:
     """One partition's linear section: read → text → explode → NER → write.
 
+    Two streamed jobs over the input files: one writes the extracted text
+    (``extracted/``), the other carries the text on through explode and NER
+    into ``extraction/``. The second parses the HTML again (a vectorized
+    Arrow kernel) rather than reading ``extracted/`` back; pinning the text
+    in the object store for both jobs measured no faster.
+
     ``input_sig`` is the (path, size, mtime_ns) signature captured BEFORE any
     file is read (run_kg_pipeline passes its plan-time sigs). Signing after
     processing would record a mid-run in-place rewrite's NEW identity against
@@ -129,18 +130,16 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     for d in (ext_dir, ner_dir):
         if d.exists():
             shutil.rmtree(d)
-    # pass A: html -> text (columns pruned at the read: url, html, lang only)
+
+    def text() -> Dataset:  # columns pruned at the read: url, html, lang only
+        return ray.data.read_parquet(files, columns=["url", "html", "lang"]).map_batches(
+            extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
+
+    text().write_parquet(str(ext_dir))
     (
-        ray.data.read_parquet(files, columns=["url", "html", "lang"])
-        .map_batches(extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .write_parquet(str(ext_dir))
-    )
-    # pass B: text -> paragraphs -> spans+triples (reads columnar text back,
-    # so a resume never re-parses HTML)
-    (
-        ray.data.read_parquet(str(ext_dir))
+        text()
         .map_batches(explode_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(NerTripleStage, **ner_map_batches_kwargs(cfg))
+        .map_batches(ner_triples_task, **ner_map_batches_kwargs(cfg))
         .write_parquet(str(ner_dir))
     )
     return {
@@ -153,52 +152,85 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
 
 def graph_stage(out_dir: Path, cfg: PipelineConfig,
                 force_distributed_cc: bool = False) -> dict:
-    """The wide section: flatten → mentions → blocking → CC → nodes/edges."""
-    if (out_dir / "graph").exists():
-        shutil.rmtree(out_dir / "graph")
-    extraction = ray.data.read_parquet(str(out_dir / "extraction"))
+    """The wide section: extraction → mention partials → linking → nodes/edges.
+
+    ``extraction/`` is the one table read; the mention partials are pinned
+    once and feed both linking and nodes. Linking runs in the driver over
+    the linkable slice (``linking.link_driver``); above
+    ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows, or with
+    ``force_distributed_cc``, it runs as Ray tasks (``BandStage`` →
+    ``candidate_pairs`` → distributed CC). ``graph/{spans,triples,errors}``
+    are written straight from ``extraction/`` and never read back.
+    Returns the graph manifest row: row counts, ``link_path``, the number
+    of keys linking ran over, and per-phase wall seconds.
+    """
+    graph = out_dir / "graph"
+    if graph.exists():
+        shutil.rmtree(graph)
+    phases: dict[str, float] = {}
+    t0 = time.perf_counter()
+    extraction = ray.data.read_parquet(
+        str(out_dir / "extraction"),
+        columns=["url", "para_idx", "spans", "triples", "error"])
     spans = extraction.map_batches(flatten_spans, batch_format="pyarrow")
     triples = extraction.map_batches(flatten_triples, batch_format="pyarrow")
-
-    spans.write_parquet(str(out_dir / "graph" / "spans"))
-    triples.write_parquet(str(out_dir / "graph" / "triples"))
-
-    spans = ray.data.read_parquet(str(out_dir / "graph" / "spans"))
-    triples = ray.data.read_parquet(str(out_dir / "graph" / "triples"))
-
+    partials = spans.map_batches(linking.mention_partial_task,
+                                 batch_format="pyarrow").materialize()
+    driver = not force_distributed_cc
+    if driver:
+        # the partial-row count bounds the distinct linkable keys, so the
+        # collect below cannot OOM the driver at web-scale surface counts
+        linkable = partials.map_batches(linking.linkable_rows,
+                                        batch_format="pyarrow").materialize()
+        driver = linkable.count() <= linking.DRIVER_CC_MAX_KEYS
+    if driver:
+        keys = sorted({k for block in ray.get(linkable.to_arrow_refs())
+                       for k in block["key"].to_pylist()})
+        # broadcast only non-identity entries: dicts are not zero-copy in
+        # the object store; lookups default to identity
+        mapping_ref = ray.put(linking.link_driver(keys, cfg.linking))
+        n_keys = len(keys)
+        phases["link"] = time.perf_counter() - t0
+        nodes = nodes_from_comp(
+            partials.map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
+        edge_args = dict(mapping_ref=mapping_ref)
+    else:
+        mentions = grouped_agg(
+            partials, ["key"],
+            {"label": ("label", "min"), "surface": ("surface", "min"),
+             "n": ("n", "sum")},
+        ).materialize()  # one row per distinct key — small vs the corpus
+        bands = mentions.map_batches(linking.BandStage(cfg.linking),
+                                     batch_format="pyarrow")
+        comp_ds = linking.canonicalize(
+            mentions, linking.candidate_pairs(bands, cfg.linking)).materialize()
+        n_keys = mentions.count()
+        phases["link"] = time.perf_counter() - t0
+        nodes = build_nodes(mentions, comp_ds)
+        edge_args = dict(comp_ds=comp_ds)
+    t = time.perf_counter()
+    nodes.write_parquet(str(graph / "nodes"))
+    phases["nodes"] = time.perf_counter() - t
+    t = time.perf_counter()
+    build_edges(triples, **edge_args).write_parquet(str(graph / "edges"))
+    phases["edges"] = time.perf_counter() - t
+    t = time.perf_counter()
+    spans.write_parquet(str(graph / "spans"))
+    triples.write_parquet(str(graph / "triples"))
     # poison-pill quarantine: rows whose tagging failed carry an error
     # string (never silently dropped entities — SURVEY.md §4); surfaced as
     # an errors table with url lineage for reprocessing
-    import pyarrow.compute as pc
-
-    errors = extraction.map_batches(
+    extraction.map_batches(
         lambda t: t.filter(pc.is_valid(t["error"])).select(["url", "para_idx", "error"]),
         batch_format="pyarrow",
-    )
-    errors.write_parquet(str(out_dir / "graph" / "errors"))
-
-    mentions = spans_to_mentions(spans).materialize()  # small: distinct keys
-    bands = mentions.map_batches(
-        BandStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(cfg=cfg.linking),
-        concurrency=pool_size(),
-    )
-    pairs = candidate_pairs(bands, cfg.linking)
-    comp_ds, mapping_ref = canonicalize(
-        mentions, pairs, cfg.linking, force_distributed=force_distributed_cc
-    )
-    nodes = build_nodes(mentions, comp_ds)
-    edges = build_edges(triples, mapping_ref=mapping_ref,
-                        comp_ds=None if mapping_ref is not None else comp_ds)
-    nodes.write_parquet(str(out_dir / "graph" / "nodes"))
-    edges.write_parquet(str(out_dir / "graph" / "edges"))
+    ).write_parquet(str(graph / "errors"))
+    phases["tables"] = time.perf_counter() - t
     return {
-        "mentions": mentions.count(),
-        "nodes": parquet_row_count(out_dir / "graph" / "nodes"),
-        "edges": parquet_row_count(out_dir / "graph" / "edges"),
-        "triples": parquet_row_count(out_dir / "graph" / "triples"),
-        "errors": parquet_row_count(out_dir / "graph" / "errors"),
-        "cc_path": "driver" if mapping_ref is not None else "distributed",
+        "link_path": "driver" if driver else "distributed",
+        "link_keys": n_keys,
+        "phases": {k: round(v, 3) for k, v in phases.items()},
+        **{name: parquet_row_count(graph / name)
+           for name in ("nodes", "edges", "triples", "errors")},
     }
 
 
@@ -224,20 +256,16 @@ def run_kg_pipeline(
     ``fail_after_partitions`` injects a crash after N extract partitions —
     used by the kill-and-resume test only.
     """
-    import hashlib
-    import json
-
     cfg = cfg or PipelineConfig()
     out_dir = Path(out_dir)
     manifest = Manifest(out_dir)
     plan = _partition_files(input_dir, num_partitions)
     plan_sigs = [_files_sig(files) for files in plan]
     # fingerprint the config BY EXCLUSION: normalize away the named perf
-    # knobs (batch size, pool sizing — identical outputs by construction)
+    # knobs (batch size, concurrency, placement — identical outputs by
+    # construction)
     # and hash everything else, so any future output-affecting knob
     # invalidates finished partitions by default
-    import dataclasses
-
     cfg_fp = hashlib.md5(
         repr(dataclasses.replace(cfg, ner_batch_size=0, ner_concurrency=None,
                                  ner_ray_remote_args=None)).encode()
@@ -255,6 +283,7 @@ def run_kg_pipeline(
     plan_fp = hashlib.md5(json.dumps([plan_sigs, cfg_fp]).encode()).hexdigest()
     done_parts = 0
     ran_any = False
+    t_extract = time.perf_counter()
     for i, files in enumerate(plan):
         part = f"{i:05d}"
         rec = manifest.read("extract", part)
@@ -273,237 +302,31 @@ def run_kg_pipeline(
     # drop partitions a previous (wider) plan produced that this plan no
     # longer owns — graph_stage reads the whole extraction dir. Scan the
     # actual output dirs, not just manifest rows: a crashed run can leave an
-    # orphan part dir whose manifest row was never written.
-    import re as _re
-
-    stale_idx: set[int] = set()
-    for p in manifest.dir.glob("extract__*.json"):
-        m = _re.fullmatch(r"extract__(\d{5})", p.stem)
-        if m:
-            stale_idx.add(int(m.group(1)))
-    for sub in ("extracted", "extraction"):
-        for d in (out_dir / sub).glob("part=*"):
-            # exact written format only: parsing then deleting a RE-PADDED
-            # path would miss e.g. a foreign 'part=7'; anything not ours is
-            # left alone entirely
-            m = _re.fullmatch(r"part=(\d{5})", d.name)
-            if m:
-                stale_idx.add(int(m.group(1)))
-    for idx in sorted(stale_idx):
-        if idx < len(plan):
-            continue
-        mrow = manifest.dir / f"extract__{idx:05d}.json"
-        if mrow.exists():
-            mrow.unlink()
+    # orphan part dir whose manifest row was never written. Only the exact
+    # written name format is ours (a re-padded parse would miss e.g. a
+    # foreign 'part=7'); anything else is left alone entirely.
+    names = [p.stem for p in manifest.dir.glob("extract__*.json")] + [
+        d.name for sub in ("extracted", "extraction")
+        for d in (out_dir / sub).glob("part=*")]
+    owned = {int(m.group(1)) for n in names
+             if (m := re.fullmatch(r"(?:extract__|part=)(\d{5})", n))}
+    for idx in sorted(i for i in owned if i >= len(plan)):
+        (manifest.dir / f"extract__{idx:05d}.json").unlink(missing_ok=True)
         for sub in ("extracted", "extraction"):
             stale = out_dir / sub / f"part={idx:05d}"
             if stale.exists():
                 shutil.rmtree(stale)
         ran_any = True
+    extract_s = time.perf_counter() - t_extract
     grec = manifest.read("graph", "all")
     if ran_any or grec is None or grec.get("plan_fp") != plan_fp:
         meta = graph_stage(out_dir, cfg, force_distributed_cc)
+        # per-phase wall seconds sit next to plan_fp, outside it: resume
+        # compares only the fingerprint
+        meta["phases"] = {"extract": round(extract_s, 3), **meta["phases"]}
+        meta["paragraphs"] = parquet_row_count(out_dir / "extraction")
         manifest.mark_done("graph", "all", plan_fp=plan_fp, **meta)
     return manifest
-
-
-def run_kg_bench(input_dir: str | Path, out_dir: str | Path,
-                 cfg: PipelineConfig | None = None) -> dict:
-    """Lean end-to-end run for throughput benchmarking (4 Ray jobs).
-
-    Same output contract as :func:`run_kg_pipeline`'s graph stage (asserted
-    by tests/test_pipeline.py::test_bench_pipeline_matches_oracle) but fused
-    for steady-state measurement:
-
-    1. extraction — one streamed job: read (pruned columns) -> vectorized
-       html->text -> explode -> task-mode NER -> pruned nested write;
-    2. mention combiners, pinned once; the tiny linkable slice (PER/ORG/LOC)
-       goes to the driver for blocking + verify + union-find;
-    3. nodes — one bucketed Arrow shuffle with canonical ids applied via a
-       small broadcast remap (non-identity entries only);
-    4. edges — combiner + bucketed exact count of canonicalized triples.
-
-    Per-partition manifests and the extracted-text/paragraph tables belong
-    to the correctness path (:func:`run_kg_pipeline`), not the stopwatch.
-    """
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..config import LINK_LABELS
-    from ..oracle import link_entities
-    from ..stages import linking as linking_mod
-    from ..stages.extract import ner_triples_task
-    from ..stages.graph import build_edges, build_nodes
-    from ..stages.linking import (
-        BandStage,
-        candidate_pairs,
-        canonicalize,
-        mention_partial_task,
-    )
-    from ..stages.shuffle import grouped_agg, pool_size
-
-    import time
-
-    cfg = cfg or PipelineConfig()
-    out_dir = Path(out_dir)
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    files = sorted(str(p) for p in Path(input_dir).glob("*.parquet"))
-    phases: dict[str, float] = {}
-    _t = time.time()
-
-    # job 1: fused extraction. Task-mode NER (module-global tagger, workers
-    # reused) — use the NerTripleStage actor pool instead when per-worker
-    # state is heavy (real model weights); see stages/extract.py.
-    (
-        ray.data.read_parquet(files, columns=["url", "html", "lang"])
-        .map_batches(extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(explode_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(ner_triples_task, batch_format="pyarrow")  # whole blocks
-        # prune at the write: the KG stages downstream consume only
-        # (url, para_idx, spans, triples) + the quarantine column;
-        # para_text belongs to the correctness-path outputs
-        # (run_kg_pipeline), not this checkpoint
-        .select_columns(["url", "para_idx", "spans", "triples", "error"])
-        .write_parquet(str(out_dir / "extraction"))
-    )
-    phases["extract"] = round(time.time() - _t, 2)
-    _t = time.time()
-    extraction = ray.data.read_parquet(str(out_dir / "extraction"))
-
-    # job 2: per-batch mention combiners, computed ONCE and pinned in the
-    # object store — reused by linking (tiny linkable slice to the driver)
-    # and by the nodes shuffle.
-    partials_ds = (
-        extraction.map_batches(flatten_spans, batch_format="pyarrow")
-        .map_batches(mention_partial_task, batch_format="pyarrow")
-        .materialize()
-    )
-    link_label_arr = pa.array(sorted(LINK_LABELS), pa.string())
-
-    def only_linkable(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch["label"], value_set=link_label_arr))
-
-    # Materialize the (small) linkable slice once: the guard's count() then
-    # reads block metadata for free and the driver-path collect reuses the
-    # same pinned blocks instead of re-running the filter pass.
-    linkable_ds = partials_ds.map_batches(
-        only_linkable, batch_format="pyarrow"
-    ).materialize()
-    # driver-collect guard (shared DRIVER_CC_MAX_KEYS contract with
-    # stages/linking.canonicalize, read at call time so tests can override):
-    # the partial-row count upper-bounds distinct linkable keys, so the
-    # collect below can never silently OOM the driver at web-scale surface
-    # counts — above the cap the whole link+nodes+edges section switches to
-    # the stage-based distributed machinery (grouped_agg mentions ->
-    # BandStage -> candidate_pairs -> distributed CC -> hash_join remaps).
-    n_linkable_rows = linkable_ds.count()
-    driver_path = n_linkable_rows <= linking_mod.DRIVER_CC_MAX_KEYS
-    mapping_ref = None
-    comp_ds = None
-    mentions = None
-    if driver_path:
-        linkable = linkable_ds.to_pandas()
-        linkable = linkable.sort_values(["key", "surface"], kind="stable")
-        linkable = (
-            linkable.groupby("key", sort=False)
-            .agg(label=("label", "first"), surface=("surface", "first"), n=("n", "sum"))
-            .reset_index()
-        )
-        mentions_map = {
-            r.key: (r.label, r.surface, int(r.n)) for r in linkable.itertuples()
-        }
-        full_mapping = link_entities(mentions_map, cfg.linking)
-        # broadcast only non-identity entries: dicts are NOT zero-copy in the
-        # object store, so ship just the (small) remap set; lookups default to
-        # identity
-        mapping = {k: v for k, v in full_mapping.items() if k != v}
-        mapping_ref = ray.put(mapping)
-        n_linkable = len(linkable)
-    else:
-        # the materialized slice served only the guard count on this branch;
-        # release it before the wide section so the pinned copy (large
-        # exactly when this branch runs) cannot force object-store spilling
-        del linkable_ds
-        mentions = grouped_agg(
-            partials_ds,
-            ["key"],
-            {"label": ("label", "min"), "surface": ("surface", "min"),
-             "n": ("n", "sum")},
-            pre_aggregated=True,
-        ).materialize()  # one row per distinct key — small vs the corpus
-        bands = mentions.map_batches(
-            BandStage, batch_format="pyarrow",
-            fn_constructor_kwargs=dict(cfg=cfg.linking),
-            concurrency=pool_size(),
-        )
-        pairs = candidate_pairs(bands, cfg.linking)
-        comp_ds, mapping_ref = canonicalize(mentions, pairs, cfg.linking)
-        n_linkable = (
-            mentions.map_batches(only_linkable, batch_format="pyarrow").count()
-        )
-    phases["link"] = round(time.time() - _t, 2)
-    _t = time.time()
-
-    # job 3: nodes — one distributed shuffle: span partials with the
-    # canonical id applied, bucket-merged by component (order-free Min/Sum)
-    if mapping_ref is not None:
-        state: dict = {}
-
-        def apply_comp(batch: pa.Table) -> pa.Table:
-            m = state.get("m")
-            if m is None:
-                m = state["m"] = ray.get(mapping_ref)
-            # keys repeat across partial rows: dictionary-encode, remap once
-            # per DISTINCT key, vectorized take (same shape as
-            # stages/graph.make_canonize — no per-row Python)
-            enc = batch["key"].combine_chunks().dictionary_encode()
-            mapped = pa.array(
-                [m.get(k, k) for k in enc.dictionary.to_pylist()], pa.string()
-            )
-            return pa.table(
-                {
-                    "comp": pc.take(mapped, enc.indices),
-                    "surface": batch["surface"],
-                    "n": batch["n"],
-                }
-            )
-
-        nodes = grouped_agg(
-            partials_ds.map_batches(apply_comp, batch_format="pyarrow"),
-            ["comp"],
-            {"canonical_surface": ("surface", "min"), "n_mentions": ("n", "sum")},
-            pre_aggregated=True,
-        ).map_batches(
-            lambda df: df.assign(
-                entity_id=df["comp"], label=[c.split("|", 1)[0] for c in df["comp"]]
-            )[["entity_id", "canonical_surface", "label", "n_mentions"]],
-            batch_format="pandas",
-        )
-    else:
-        nodes = build_nodes(mentions, comp_ds)
-    nodes.write_parquet(str(out_dir / "graph" / "nodes"))
-    phases["nodes"] = round(time.time() - _t, 2)
-    _t = time.time()
-
-    # job 4: canonicalized weighted edges (combiner + bucketed exact count)
-    edges = build_edges(
-        extraction.map_batches(flatten_triples, batch_format="pyarrow"),
-        mapping_ref=mapping_ref,
-        comp_ds=None if mapping_ref is not None else comp_ds,
-    )
-    edges.write_parquet(str(out_dir / "graph" / "edges"))
-    phases["edges"] = round(time.time() - _t, 2)
-
-    return {
-        "phases": phases,
-        "paragraphs": parquet_row_count(out_dir / "extraction"),
-        "linkable_mentions": n_linkable,
-        "link_path": "driver" if driver_path else "distributed",
-        "nodes": parquet_row_count(out_dir / "graph" / "nodes"),
-        "edges": parquet_row_count(out_dir / "graph" / "edges"),
-    }
 
 
 def export_predictions_jsonl(out_dir: str | Path, jsonl_dir: str | Path) -> int:
@@ -546,10 +369,3 @@ def export_predictions_jsonl(out_dir: str | Path, jsonl_dir: str | Path) -> int:
     ds = ds.map_batches(to_records, batch_format="pyarrow")
     ds.write_json(str(jsonl_dir))
     return parquet_row_count(out_dir / "extraction")
-
-
-def read_graph_table(out_dir: str | Path, name: str) -> Dataset:
-    sub = {"spans": "graph/spans", "triples": "graph/triples",
-           "nodes": "graph/nodes", "edges": "graph/edges",
-           "extracted": "extracted", "extraction": "extraction"}[name]
-    return ray.data.read_parquet(str(Path(out_dir) / sub))

@@ -1,15 +1,15 @@
 """Extraction stages: HTML→text, paragraph explode, NER + triples.
 
-Ray-Data-first shapes (SURVEY.md §7 steps 2-5):
+Ray-Data-first shapes (SURVEY.md §7 steps 2-5), all plain Ray tasks:
 
 * ``extract_text_batch`` — stateless ``map_batches`` over zero-copy Arrow;
   pure ``pyarrow.compute`` kernel chain (functions/html.py).
 * ``explode_batch`` — stateless vectorized explode (functions/paragraphs.py).
-* ``NerTripleStage`` — the one stateful stage: a callable class for
-  ``map_batches(..., concurrency=N)`` whose ``__init__`` compiles the tagger
-  once per actor (mirroring the reference's once-per-process model load,
-  src/inference.py:65-96) and whose ``__call__`` tags a batch of paragraphs.
-  The language gate runs inside the stage: non-pt rows keep their lineage
+* ``ner_triples_task`` — the NER + triples step. It keeps one
+  ``NerTripleStage`` per worker process and per config, so the tagger is
+  built once per worker (mirroring the reference's once-per-process model
+  load, src/inference.py:65-96) without an actor pool holding CPUs. The
+  language gate runs inside the stage: non-pt rows keep their lineage
   (they flow through with empty span/triple lists) per BASELINE.json
   north_star.
 
@@ -21,6 +21,8 @@ re-running extraction once per output table.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pyarrow as pa
 
@@ -79,7 +81,7 @@ def explode_batch(batch: pa.Table) -> pa.Table:
 
 
 class NerTripleStage:
-    """Actor-pool stage: paragraph rows in, nested spans+triples out.
+    """Paragraph rows in, nested spans+triples out (see ``ner_triples_task``).
 
     ``dynamic_batching=True`` routes paragraphs through
     ``length_sorted_batches`` (sort by token length, sub-batch under a token
@@ -106,12 +108,12 @@ class NerTripleStage:
             self.tagger = RegexGazetteerTagger(cfg.confidence_threshold)
         self.dynamic_batching = dynamic_batching
         self.token_budget = token_budget
-        # per-actor compiled gate: None when the tagger cannot guarantee the
+        # per-worker compiled gate: None when the tagger cannot guarantee the
         # superset property (e.g. a real checkpoint behind LogitsTagger)
         self.gate = getattr(self.tagger, "can_match_pattern", None)
-        # bounded per-actor memo: tagging is a pure function of the text and
+        # bounded per-worker memo: tagging is a pure function of the text and
         # web corpora repeat boilerplate paragraphs heavily, so identical
-        # paragraphs are decoded once per actor (cleared at 64k entries)
+        # paragraphs are decoded once per worker (cleared at 64k entries)
         self._memo: dict[str, tuple[list, str | None]] = {}
 
     def _tag_one(self, text: str):
@@ -212,22 +214,34 @@ class NerTripleStage:
         )
 
 
-_TASK_STAGE: NerTripleStage | None = None
+_TASK_STAGES: dict[str, NerTripleStage] = {}
 
 
-def ner_triples_task(batch: pa.Table) -> pa.Table:
-    """Task-mode NER stage (bench path).
+def _stage_key(cfg: PipelineConfig) -> str:
+    """Identity of the stage ``cfg`` builds. A checkpoint directory adds its
+    files' (path, size, mtime_ns), so a model retrained in place is loaded
+    again instead of served from a worker's cache."""
+    files = sorted(Path(cfg.model_dir).rglob("*")) if cfg.model_dir else []
+    return repr((cfg, [(str(f), f.stat().st_size, f.stat().st_mtime_ns)
+                       for f in files if f.is_file()]))
 
-    Ray reuses worker processes across tasks, so the module-global tagger
-    compiles once per worker — same amortization as the actor pool without
-    pool-startup latency. Use ``NerTripleStage`` + ``concurrency=`` (the
-    actor-pool form) when per-worker state is heavy (a real model's weights);
-    the surrogate tagger's state is a ~10 ms regex compile, so tasks win.
+
+def ner_triples_task(batch: pa.Table, cfg: PipelineConfig | None = None) -> pa.Table:
+    """Task-mode NER stage: ``map_batches(ner_triples_task, fn_kwargs={"cfg": cfg})``.
+
+    Ray reuses worker processes across tasks, so the stage built for ``cfg``
+    is cached per worker, keyed by the config: the tagger is built once per
+    worker without an actor pool, and two configs in one Ray session never
+    share a tagger.
     """
-    global _TASK_STAGE
-    if _TASK_STAGE is None:
-        _TASK_STAGE = NerTripleStage()
-    return _TASK_STAGE(batch)
+    cfg = cfg or PipelineConfig()
+    key = _stage_key(cfg)
+    stage = _TASK_STAGES.get(key)
+    if stage is None:
+        if len(_TASK_STAGES) >= 4:  # bound a long-lived worker's cache
+            _TASK_STAGES.clear()
+        stage = _TASK_STAGES[key] = NerTripleStage(cfg)
+    return stage(batch)
 
 
 def flatten_spans(batch: pa.Table) -> pa.Table:

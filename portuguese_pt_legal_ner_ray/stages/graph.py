@@ -1,35 +1,39 @@
 """Graph materialization: nodes and edges tables (SURVEY.md §7 step 7).
 
 nodes = one row per canonical entity: ``(entity_id, canonical_surface,
-label, n_mentions)`` — groupby(component) with Min/Sum aggregates (order-free
-reducers, never first-seen).
+label, n_mentions)`` — one bucketed grouped_agg by component with Min/Sum
+aggregates (order-free reducers, never first-seen).
 edges = exact-dedup of canonicalized triples with count as weight:
 ``(subj_id, pred, obj_id, weight)`` — the groupby([subj,pred,obj]).count()
 pattern from SURVEY.md §2.5.
 
 Canonical-id application is a broadcast small-side lookup (``ray.put`` once,
-dict read per actor) by default, or two partitioned hash_joins when the
+dict read once per task) by default, or two partitioned hash_joins when the
 mapping outgrows the driver (stages/joins.py).
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.aggregate import Min, Sum
 
 from ..functions.normalize import entity_key
 from .joins import hash_join
+from .shuffle import grouped_agg, grouped_count
 
 
 def build_nodes(mentions_ds: Dataset, comp_ds: Dataset) -> Dataset:
     """(key,label,surface,n) ⋈ (key,comp) -> canonical node rows."""
-    joined = hash_join(mentions_ds, comp_ds, key="key")
-    nodes = joined.groupby("comp").aggregate(
-        Min("surface", alias_name="canonical_surface"),
-        Sum("n", alias_name="n_mentions"),
+    return nodes_from_comp(hash_join(mentions_ds, comp_ds, key="key"))
+
+
+def nodes_from_comp(ds: Dataset) -> Dataset:
+    """Rows carrying (comp, surface, n) -> one node row per component: one
+    bucketed grouped_agg with order-free Min/Sum, then an Arrow finish."""
+    nodes = grouped_agg(
+        ds.select_columns(["comp", "surface", "n"]), ["comp"],
+        {"canonical_surface": ("surface", "min"), "n_mentions": ("n", "sum")},
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -49,13 +53,40 @@ def build_nodes(mentions_ds: Dataset, comp_ds: Dataset) -> Dataset:
     return nodes.map_batches(finish, batch_format="pyarrow")
 
 
-def _add_entity_keys(batch: pd.DataFrame) -> pd.DataFrame:
-    batch["subj_key"] = [
-        entity_key(l, s) for l, s in zip(batch["subj_label"], batch["subj"])
-    ]
-    batch["obj_key"] = [
-        entity_key(l, s) for l, s in zip(batch["obj_label"], batch["obj"])
-    ]
+def _remap(arr, fn) -> pa.Array:
+    """``fn`` applied once per DISTINCT value of a string column, spread
+    back to every row by a vectorized ``take`` (no Python in the row loop)."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    enc = arr.dictionary_encode()
+    mapped = pa.array([fn(v) for v in enc.dictionary.to_pylist()], pa.string())
+    return pc.take(mapped, enc.indices)
+
+
+def make_apply_comp(mapping_ref):
+    """Task fn: mention partials (key, surface, n) -> (comp, surface, n),
+    via the broadcast non-identity key -> component map (fetched once per
+    worker-side closure; missing keys are their own component)."""
+    state: dict = {}
+
+    def apply_comp(batch: pa.Table) -> pa.Table:
+        import ray as _ray
+
+        if "m" not in state:
+            state["m"] = _ray.get(mapping_ref)
+        m = state["m"]
+        return pa.table({"comp": _remap(batch["key"], lambda k: m.get(k, k)),
+                         "surface": batch["surface"], "n": batch["n"]})
+
+    return apply_comp
+
+
+def _add_entity_keys(batch: pa.Table) -> pa.Table:
+    """Triple rows + (subj_key, obj_key): the entity key of each end."""
+    for end in ("subj", "obj"):
+        joined = pc.binary_join_element_wise(batch[f"{end}_label"], batch[end], "\x00")
+        batch = batch.append_column(f"{end}_key", _remap(
+            joined, lambda j: entity_key(*j.split("\x00", 1))))
     return batch
 
 
@@ -73,7 +104,6 @@ def make_canonize(mapping_ref):
     state: dict = {}
 
     def canonize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         import ray as _ray
 
         mapping = state.get("m")
@@ -91,15 +121,7 @@ def make_canonize(mapping_ref):
             return k
 
         def col_ids(labels, surfaces) -> pa.Array:
-            joined = pc.binary_join_element_wise(
-                labels.combine_chunks() if isinstance(labels, pa.ChunkedArray) else labels,
-                surfaces.combine_chunks() if isinstance(surfaces, pa.ChunkedArray) else surfaces,
-                "\x00",
-            )
-            enc = joined.dictionary_encode()
-            mapped = pa.array([_id(u) for u in enc.dictionary.to_pylist()],
-                              pa.string())
-            return pc.take(mapped, enc.indices)
+            return _remap(pc.binary_join_element_wise(labels, surfaces, "\x00"), _id)
 
         return pa.table(
             {
@@ -119,21 +141,12 @@ def build_edges(triples_ds: Dataset, mapping_ref=None, comp_ds: Dataset | None =
     ``comp_ds``: (key, comp) Dataset (distributed path). Exactly one given.
     """
     if mapping_ref is not None:
-        # plain tasks (not an actor pool): the broadcast ref resolves from the
-        # local object store inside each task, and skipping actor startup
-        # latency matters more than cross-batch memoization here
         keyed = triples_ds.map_batches(make_canonize(mapping_ref), batch_format="pyarrow")
     else:
-        keyed = triples_ds.map_batches(_add_entity_keys, batch_format="pandas")
-        sc = comp_ds.map_batches(
-            lambda t: pa.table({"subj_key": t["key"], "subj_id": t["comp"]}),
-            batch_format="pyarrow",
-        )
-        oc = comp_ds.map_batches(
-            lambda t: pa.table({"obj_key": t["key"], "obj_id": t["comp"]}),
-            batch_format="pyarrow",
-        )
-        keyed = hash_join(hash_join(keyed, sc, key="subj_key"), oc, key="obj_key")
-    from .shuffle import grouped_count
-
+        keyed = triples_ds.map_batches(_add_entity_keys, batch_format="pyarrow")
+        for end in ("subj", "obj"):
+            ids = comp_ds.map_batches(
+                lambda t, e=end: pa.table({f"{e}_key": t["key"], f"{e}_id": t["comp"]}),
+                batch_format="pyarrow")
+            keyed = hash_join(keyed, ids, key=f"{end}_key")
     return grouped_count(keyed, ["subj_id", "pred", "obj_id"], alias="weight")

@@ -1,23 +1,22 @@
-"""Entity linking + canonicalization (the pipeline's wide/shuffle section).
+"""Entity linking + canonicalization (the pipeline's wide section).
 
 SURVEY.md §7 step 6, target-spec mandated (no counterpart in the reference):
 
-1. mention aggregation — partial combine inside ``map_batches`` (per-batch
-   dict groupby) THEN a small global ``groupby(key)`` — so the all-to-all
-   shuffle moves distinct keys, not raw mentions (pre-aggregation pattern);
-2. minhash band keys per distinct entity (stateful ``MinHasher`` built once
-   per actor);
-3. ``groupby(label, band_key)`` -> deterministic salted sorted-neighborhood
-   candidate pairs (functions/blocking.py — pure function of the member set,
-   so results are parallelism-independent);
-4. stateless Jaccard verification;
-5. connected components: driver-side union-find when the (tiny, distinct)
-   entity graph fits the driver — the normal case even at corpus scale,
-   since distinct surfaces ≪ mentions — with a fully distributed
-   min-label-propagation fallback (``state/components.py``) for when it
-   doesn't;
-6. canonical-id application to triples via broadcast dict (``ray.put`` once),
-   falling back to the partitioned ``hash_join`` at scale.
+1. mention partials — a per-batch combiner (``mention_partial_task``) emits
+   one (key, label, surface, n) row per distinct key per batch;
+2. minhash band keys per distinct linkable entity (``BandStage``);
+3. per-(label, band_key) deterministic salted sorted-neighborhood candidate
+   pairs (functions/blocking.py — a pure function of the member set, so
+   results are parallelism-independent);
+4. Jaccard verification of each distinct candidate pair;
+5. connected components.
+
+Steps 2-5 run one of two ways over the same kernels. ``link_driver`` runs
+them in the driver over the distinct linkable keys — the normal case even
+at corpus scale, since distinct surfaces ≪ mentions. Above
+``DRIVER_CC_MAX_KEYS`` the pipeline runs them as Ray tasks instead:
+``BandStage`` → ``candidate_pairs`` → ``canonicalize`` (min-label
+propagation, ``state/components.py``).
 
 Component id = lexicographic-min member key — order-free determinism
 (SURVEY.md §4: never "first wins").
@@ -26,7 +25,7 @@ Component id = lexicographic-min member key — order-free determinism
 from __future__ import annotations
 
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..config import LINK_LABELS, LinkingConfig
@@ -34,20 +33,22 @@ from ..functions.blocking import pairs_for_block
 from ..functions.minhash import MinHasher, jaccard, shingles
 from ..functions.normalize import entity_key
 
-# Above this many distinct entity keys, CC + canonical application switch to
-# the distributed path (label propagation + hash_join). The distinct-entity
-# graph at web scale is orders of magnitude smaller than the corpus, so the
-# driver path covers realistic runs; the distributed path is exercised by
-# tests via a tiny override.
+# Above this many linkable partial rows (an upper bound on distinct linkable
+# keys), linking and canonical-id application switch to the distributed path
+# (label propagation + hash_join). The distinct-entity graph at web scale is
+# orders of magnitude smaller than the corpus, so the driver path covers
+# realistic runs; the distributed path is exercised by tests via a tiny
+# override (read at call time).
 DRIVER_CC_MAX_KEYS = 2_000_000
+_LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 
 
 class MentionPartial:
     """Per-batch combiner: span rows -> partial (key, label, surface, n).
 
-    Actor state = a (label, surface) -> entity_key memo cache; surfaces
-    repeat heavily, so normalization (unicode NFKD) runs once per distinct
-    surface per actor instead of once per span.
+    State = a (label, surface) -> entity_key memo cache; surfaces repeat
+    heavily, so normalization (unicode NFKD) runs once per distinct surface
+    per worker instead of once per span.
     """
 
     def __init__(self):
@@ -82,32 +83,16 @@ _TASK_PARTIAL: MentionPartial | None = None
 
 
 def mention_partial_task(batch: pa.Table) -> pa.Table:
-    """Task-mode combiner (bench path): per-worker memo via module global."""
+    """Task-mode combiner: per-worker memo via module global."""
     global _TASK_PARTIAL
     if _TASK_PARTIAL is None:
         _TASK_PARTIAL = MentionPartial()
     return _TASK_PARTIAL(batch)
 
 
-def spans_to_mentions(spans_ds: Dataset) -> Dataset:
-    """Span rows -> distinct (key, label, surface=min, n=sum).
-
-    Combiner inside ``map_batches`` (MentionPartial, memoized normalization)
-    then a bucketed exact merge (stages/shuffle.grouped_agg) — the shuffle
-    moves partial rows hashed on a small int bucket key, never raw spans.
-    """
-    from .shuffle import grouped_agg
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    partials = spans_ds.map_batches(
-        MentionPartial, batch_format="pyarrow", concurrency=(1, max(2, cpus))
-    )
-    return grouped_agg(
-        partials,
-        ["key"],
-        {"label": ("label", "min"), "surface": ("surface", "min"), "n": ("n", "sum")},
-        pre_aggregated=True,
-    )
+def linkable_rows(batch: pa.Table) -> pa.Table:
+    """The rows of ``batch`` whose label goes through linking."""
+    return batch.filter(pc.is_in(batch["label"], value_set=_LINK_LABEL_ARR))
 
 
 class BandStage:
@@ -136,34 +121,36 @@ class BandStage:
         )
 
 
+def block_pairs(bands: pa.Table, cfg: LinkingConfig) -> set[tuple[str, str]]:
+    """Band rows (label, band_key, norm) -> the distinct candidate key pairs
+    of every (label, band_key) block they hold (``pairs_for_block``)."""
+    blocks: dict[tuple[str, str], list[str]] = {}
+    for label, bk, norm in zip(bands["label"].to_pylist(),
+                               bands["band_key"].to_pylist(),
+                               bands["norm"].to_pylist()):
+        blocks.setdefault((label, bk), []).append(norm)
+    return {(f"{label}|{a}", f"{label}|{b}")
+            for (label, _bk), norms in blocks.items()
+            for a, b in pairs_for_block(norms, cfg)}
+
+
 def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
     """Per-block deterministic pairing, then global pair dedup + verify.
 
     Blocks are routed by ``hash(label, band_key) % 64`` and paired with ONE
-    UDF call per bucket (a pandas groupby loop inside), never one Ray UDF
-    call per distinct band — at web scale there are ~num_bands × distinct
-    entities bands, and Ray's per-group ``map_groups`` pays per-key task
-    overhead (the trap measured in scripts/bench_scale_paths.py for CC).
-    The pair dedup is the bucketed ``grouped_count`` for the same reason.
+    UDF call per bucket (``block_pairs`` over the whole bucket), never one
+    Ray UDF call per distinct band — at web scale there are ~num_bands ×
+    distinct entities bands, and Ray's per-group ``map_groups`` pays
+    per-key task overhead (the trap measured in
+    scripts/bench_scale_paths.py for CC). The pair dedup is the bucketed
+    ``grouped_count`` for the same reason.
     """
     from .shuffle import bucket_by, grouped_count
 
-    def bucket_block_pairs(g: "pa.Table") -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({
-            "label": g["label"].to_pandas(),
-            "band_key": g["band_key"].to_pandas(),
-            "norm": g["norm"].to_pandas(),
-        })
-        a_out: list[str] = []
-        b_out: list[str] = []
-        for (label, _bk), grp in df.groupby(["label", "band_key"], sort=False):
-            for x, y in pairs_for_block(grp["norm"].tolist(), cfg):
-                a_out.append(f"{label}|{x}")
-                b_out.append(f"{label}|{y}")
-        return pa.table({"a": pa.array(a_out, pa.string()),
-                         "b": pa.array(b_out, pa.string())})
+    def bucket_block_pairs(g: pa.Table) -> pa.Table:
+        pairs = sorted(block_pairs(g, cfg))
+        return pa.table({"a": pa.array([a for a, _ in pairs], pa.string()),
+                         "b": pa.array([b for _, b in pairs], pa.string())})
 
     pairs = (
         bands_ds.map_batches(lambda t: bucket_by(t, ["label", "band_key"]),
@@ -175,15 +162,18 @@ def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
     deduped = grouped_count(pairs, ["a", "b"]).select_columns(["a", "b"])
 
     def verify(batch: pa.Table) -> pa.Table:
-        k = cfg.shingle_k
-        thr = cfg.jaccard_threshold
-        keep = []
-        for a, b in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
-            na, nb = a.split("|", 1)[1], b.split("|", 1)[1]
-            keep.append(jaccard(shingles(na, k), shingles(nb, k)) >= thr)
+        pairs = zip(batch["a"].to_pylist(), batch["b"].to_pylist())
+        keep = [_same_entity(a, b, cfg) for a, b in pairs]
         return batch.filter(pa.array(keep, pa.bool_()))
 
     return deduped.map_batches(verify, batch_format="pyarrow")
+
+
+def _same_entity(a: str, b: str, cfg: LinkingConfig) -> bool:
+    """Jaccard verification of one candidate pair of entity keys."""
+    k = cfg.shingle_k
+    return jaccard(shingles(a.split("|", 1)[1], k),
+                   shingles(b.split("|", 1)[1], k)) >= cfg.jaccard_threshold
 
 
 def connected_components_driver(keys: list[str], pairs: list[tuple[str, str]]) -> dict[str, str]:
@@ -198,39 +188,26 @@ def connected_components_driver(keys: list[str], pairs: list[tuple[str, str]]) -
     return {k: uf.find(k) for k in keys}
 
 
-def canonicalize(
-    mentions_ds: Dataset,
-    verified_pairs_ds: Dataset,
-    cfg: LinkingConfig,
-    force_distributed: bool = False,
-) -> tuple[Dataset, "ray.ObjectRef | None"]:
-    """-> (comp_ds with rows (key, comp), broadcast dict ref or None).
+def link_driver(keys: list[str], cfg: LinkingConfig) -> dict[str, str]:
+    """Distinct linkable keys -> non-identity key -> component map, in the
+    driver: ``BandStage`` → ``block_pairs`` → verify →
+    ``connected_components_driver``. Keys missing from the map are their
+    own component."""
+    bands = BandStage(cfg)(pa.table({
+        "key": pa.array(keys, pa.string()),
+        "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
+    }))
+    verified = [(a, b) for a, b in block_pairs(bands, cfg) if _same_entity(a, b, cfg)]
+    mapping = connected_components_driver(keys, verified)
+    return {k: c for k, c in mapping.items() if k != c}
 
-    Driver path: the distinct-entity graph (keys + verified same-as pairs) is
-    small relative to the corpus — collect it, union-find, broadcast the
-    mapping once. Distributed path: min-label propagation over Datasets
-    (state/components.py) with no driver materialization.
-    """
-    n_keys = mentions_ds.count()
-    if not force_distributed and n_keys <= DRIVER_CC_MAX_KEYS:
-        keys = mentions_ds.select_columns(["key"]).to_pandas()["key"].tolist()
-        pairs_df = verified_pairs_ds.to_pandas()
-        pairs = list(zip(pairs_df["a"], pairs_df["b"]))
-        mapping = connected_components_driver(keys, pairs)
-        comp_ds = ray.data.from_arrow(
-            pa.table(
-                {
-                    "key": pa.array(list(mapping.keys()), pa.string()),
-                    "comp": pa.array(list(mapping.values()), pa.string()),
-                }
-            )
-        )
-        # broadcast only non-identity entries (dicts deserialize per task);
-        # consumers default missing keys to identity
-        return comp_ds, ray.put({k: v for k, v in mapping.items() if k != v})
+
+def canonicalize(mentions_ds: Dataset, verified_pairs_ds: Dataset) -> Dataset:
+    """Distributed CC: mentions (key, ...) + verified same-as pairs (a, b)
+    -> rows (key, comp), by min-label propagation over Datasets
+    (state/components.py) with no driver materialization."""
     from ..state.components import connected_components_distributed
 
-    comp_ds = connected_components_distributed(
+    return connected_components_distributed(
         mentions_ds.select_columns(["key"]), verified_pairs_ds
     )
-    return comp_ds, None

@@ -501,8 +501,13 @@ def ivf_build(
     # a crash mid-build can never leave a half-written dir that the
     # prior-index guard above would then refuse to replace.
     index.parent.mkdir(parents=True, exist_ok=True)
+    # crash debris only: a build dir whose owner (the pid suffix) is this
+    # process or is gone. Another live builder's dir is still being written.
     for stale in index.parent.glob(f".{index.name}.build-*"):
-        shutil.rmtree(stale, ignore_errors=True)
+        owner = stale.name.rsplit("-", 1)[1]
+        if owner.isdigit() and (int(owner) == os.getpid()
+                                or not _pid_alive(int(owner))):
+            shutil.rmtree(stale, ignore_errors=True)
     build = index.parent / f".{index.name}.build-{os.getpid()}"
     build.mkdir(parents=True)
     cents_ref = ray.put(cents)
@@ -541,6 +546,18 @@ def ivf_build(
                 raise
     shutil.rmtree(build, ignore_errors=True)
     return np.load(marker)
+
+
+def _pid_alive(pid: int) -> bool:
+    import os
+
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
 
 
 def _marker_id(marker) -> tuple[int, int] | None:

@@ -36,7 +36,13 @@ from ray.data import Dataset
 
 def _checksum(comp: Dataset) -> int:
     """Order-free assignment digest: sum (mod 2^64) of the vectorized
-    64-bit hash of each "node->comp" row — one kernel pass per batch."""
+    64-bit hash of each "node->comp" row — one kernel pass per batch.
+
+    Each batch's partial wraps in uint64 and the driver adds the partials
+    (one row per batch) exactly, so the digest does not depend on how rows
+    are split into blocks. ``Dataset.sum`` does depend on it: its reduce
+    leaves int64 on overflow, and the number of blocks changes from round
+    to round, so an unchanged assignment could look changed."""
     from ..stages.shuffle import hash_strings
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -45,12 +51,11 @@ def _checksum(comp: Dataset) -> int:
             pc.cast(batch["comp"], pa.string()),
             "->",
         ).combine_chunks()
-        h = hash_strings(joined)
-        # int64 view: wrapping sum is deterministic and Arrow-representable
-        s = int(np.sum(h.view(np.int64), dtype=np.int64))
-        return pa.table({"crc": pa.array([s], pa.int64())})
+        s = int(np.sum(hash_strings(joined), dtype=np.uint64))
+        return pa.table({"crc": pa.array([s], pa.uint64())})
 
-    return comp.map_batches(partial, batch_format="pyarrow").sum("crc")
+    parts = comp.map_batches(partial, batch_format="pyarrow").take_all()
+    return sum(r["crc"] for r in parts) % 2**64
 
 
 def _emit_bucket(g: pd.DataFrame) -> pd.DataFrame:

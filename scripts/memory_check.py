@@ -1,6 +1,6 @@
 """Bounded-object-store run: prove the pipeline streams with backpressure.
 
-Runs the fused KG pipeline over an sf0.1-scale corpus (~50k pages; hundreds
+Runs the KG pipeline (``run_kg_pipeline``, fresh) over an sf0.1-scale corpus (~50k pages; hundreds
 of MB in flight across stage boundaries) inside a Ray session whose object
 store is capped far below the data volume. Success = identical outputs to
 an uncapped run — blocks stream, spill, and never require the whole dataset
@@ -13,6 +13,7 @@ Prints one JSON line with row counts and wall time.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -39,11 +40,13 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from portuguese_pt_legal_ner_ray.corpus import ensure_webpages
-    from portuguese_pt_legal_ner_ray.pipelines.kg import run_kg_bench
+    from portuguese_pt_legal_ner_ray.pipelines.kg import run_kg_pipeline
 
     corpus = ensure_webpages(sf)
+    out = f"/tmp/kgray_memcheck_sf{sf:g}"
+    shutil.rmtree(out, ignore_errors=True)
     t0 = time.time()
-    meta = run_kg_bench(corpus / "webpages", f"/tmp/kgray_memcheck_sf{sf:g}")
+    meta = run_kg_pipeline(corpus / "webpages", out).read("graph", "all")
     out = {
         "store_mb": store_mb,
         "sf": sf,

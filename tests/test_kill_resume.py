@@ -73,6 +73,52 @@ def test_sigkill_mid_run_then_resume(tmp_path):
     assert got.equals(want.cast(got.schema))
 
 
+ONE_CPU_RUNNER = """
+import sys, ray
+sys.path.insert(0, {repo!r})
+ray.init(address="local", num_cpus=1, object_store_memory=128 * 2**20,
+         include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from portuguese_pt_legal_ner_ray.pipelines.kg import run_kg_pipeline
+run_kg_pipeline({inp!r}, {out!r}, num_partitions=4)
+ray.shutdown()
+"""
+
+
+def test_one_cpu_ray_pipeline_finishes(tmp_path):
+    """With one Ray CPU the pipeline must make progress: no stage may hold
+    the only CPU while read tasks wait for it. 200 pages finish well under
+    120 s (~11 s on a 4-core host) with nodes/edges equal to the oracle."""
+    from portuguese_pt_legal_ner_ray.corpus import gen_pages_shard
+    from portuguese_pt_legal_ner_ray.oracle import run_oracle
+
+    inp = tmp_path / "webpages"
+    inp.mkdir()
+    tables = [gen_pages_shard(s, s * 50, 50) for s in range(4)]
+    for s, t in enumerate(tables):
+        pq.write_table(t, inp / f"part-{s:05d}.parquet")
+    golden = run_oracle(pa.concat_tables(tables))
+    out = tmp_path / "out"
+    code = ONE_CPU_RUNNER.format(repo=str(REPO), inp=str(inp), out=str(out))
+    # own session, so a run that hangs is killed with every Ray process it
+    # started
+    proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        assert proc.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise AssertionError("run_kg_pipeline at num_cpus=1 did not finish in 120 s")
+    for name, cols in (("nodes", ["entity_id", "canonical_surface", "label", "n_mentions"]),
+                       ("edges", ["subj_id", "pred", "obj_id", "weight"])):
+        got = pads.dataset(out / "graph" / name).to_table().select(cols)
+        got = got.sort_by([(c, "ascending") for c in cols])
+        want = golden[name].select(cols).sort_by([(c, "ascending") for c in cols])
+        assert got.equals(want.cast(got.schema)), name
+
+
 def test_resume_invalidates_on_changed_inputs(ray_session, tmp_path):
     """Rerunning against a changed input set / partition count must NOT
     serve stale extract or graph outputs (manifest rows are validated

@@ -110,6 +110,22 @@ def test_distributed_cc_random_graph_matches_union_find(ray_session):
     assert got == want
 
 
+def test_cc_checksum_independent_of_blocks(ray_session):
+    """The distributed CC stops when its assignment checksum repeats, and
+    each round splits rows into a different number of blocks. The checksum
+    must therefore be the same for the same rows however they are split,
+    or an unchanged assignment reads as changed and the loop runs on."""
+    import ray
+
+    from portuguese_pt_legal_ner_ray.state.components import _checksum
+
+    n = 5000
+    rows = pa.table({"node": pa.array([f"n{i}" for i in range(n)], pa.string()),
+                     "comp": pa.array([f"c{i % 97}" for i in range(n)], pa.string())})
+    sums = {_checksum(ray.data.from_arrow(rows).repartition(k)) for k in (1, 3, 16)}
+    assert len(sums) == 1
+
+
 def test_skewed_hot_cluster_links_fully(ray_session):
     """One entity with > SALT_THRESHOLD near-identical variants: the salted
     pairing + band redundancy must still produce ONE component, identically
@@ -141,7 +157,7 @@ def test_skewed_hot_cluster_links_fully(ray_session):
         fn_constructor_kwargs=dict(cfg=cfg), concurrency=(1, 2),
     )
     pairs = candidate_pairs(bands, cfg)
-    comp_ds, _ = canonicalize(mentions_ds, pairs, cfg, force_distributed=True)
+    comp_ds = canonicalize(mentions_ds, pairs)
     got = {r["key"]: r["comp"] for r in comp_ds.take_all()}
     assert got == oracle_map
     # the hot cluster collapses into very few components (fully connected

@@ -777,6 +777,37 @@ def test_ivf_build_keeps_index_published_mid_build(ray_session, tmp_path,
         exact.sort_values(key).reset_index(drop=True))
 
 
+def test_ivf_build_spares_live_sibling_build_dir(ray_session, tmp_path):
+    """A build removes only crash debris: build dirs whose owner pid is dead.
+    The build dir of a concurrent builder that is still alive (here the
+    test's parent process) survives, with its files."""
+    import os
+    import subprocess
+    import sys
+
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages.similarity import ivf_build
+
+    vecs = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(20), pa.int64()),
+        "embedding": pa.array([[float(i), 1.0] for i in range(20)],
+                              pa.list_(pa.float32())),
+    }))
+    index = tmp_path / "ivf"
+    live = tmp_path / f".{index.name}.build-{os.getppid()}"
+    (live / "cells").mkdir(parents=True)
+    (live / "cells" / "part.parquet").touch()
+    done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    dead = tmp_path / f".{index.name}.build-{int(done.stdout)}"
+    dead.mkdir()
+    ivf_build(vecs, index, n_cells=2)
+    assert (live / "cells" / "part.parquet").exists()
+    assert not dead.exists()
+    assert (index / "centroids.npy").exists()
+
+
 def test_char_jaccard_matches_duckdb(ray_session):
     """char_jaccard_pairs (the guarded O(n^2) oracle baseline, moved to
     pytest-only coverage in r5's registry consolidation) == DuckDB
