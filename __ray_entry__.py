@@ -95,7 +95,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # COMPUTE-heavy map-only consumers (simhash's per-token reduce, the
         # O(n²) char-jaccard scan), where map parallelism beats low shuffle
         # overhead (doc_simhash measured 0.8 s at 64 blocks vs 2.2 s at 8).
-        min_blocks = 8
+        min_blocks = 1
         if wide:
             min_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)))
         return sized_read_parquet(f"{sf_dir}/documents.parquet",

@@ -8,12 +8,16 @@ overheads to move kilobytes. Measured on the gate-scale near-dup pipeline
 (5k docs, 3 shuffle rounds): 19 s wall at 64 blocks vs 6.7 s at 8.
 
 ``sized_read_parquet`` budgets the block count by BYTES instead: one block
-per ``target_block_bytes`` of input, floored at ``min_blocks`` (resume/skew
-headroom) and capped at ``max_blocks``. At 100 TB the same rule produces
-thousands of blocks — it only changes behavior where the default
-over-splits. When the per-row downstream compute is heavy enough to want
-one block per core on small inputs (brute-force embedding scans, simhash),
-pass ``min_blocks=<cpu count>`` — see ``_docs(wide=True)`` and
+per ``target_block_bytes`` (32 MB) of input, capped at ``max_blocks``. There
+is no block floor by default: a sub-32 MB table is one block, so every
+all-to-all round over it runs as few tasks as the data needs. A floor of 8
+blocks made the ``ops`` benchmark's query list ~1.5x slower (17.9 s vs
+12.1 s per cold pass at 4 CPUs, BASELINE.md): the cost of a small shuffle is
+its task count, not its bytes. At 100 TB the
+same rule produces thousands of blocks — it only changes behavior where the
+default over-splits. When the per-row downstream compute is heavy enough to
+want one block per core on small inputs (brute-force embedding scans,
+simhash), pass ``min_blocks=<cpu count>`` — see ``_docs(wide=True)`` and
 ``near_dup_embedding`` in ``__ray_entry__.py``.
 """
 
@@ -75,7 +79,7 @@ def sized_read_parquet(
     paths: str | list[str],
     columns: list[str] | None = None,
     target_block_bytes: int = 32 << 20,
-    min_blocks: int = 8,
+    min_blocks: int = 1,
     max_blocks: int | None = None,
 ):
     """``ray.data.read_parquet`` with a byte-budgeted ``override_num_blocks``."""

@@ -412,13 +412,6 @@ def _ngram_keep(t: "pa.Table", threshold: float, max_gram_df: int) -> "pa.Table"
     return t.filter(pa.array(mask)).select(["id_a", "id_b"])
 
 
-def _char_pool() -> tuple[int, int]:
-    """CPU-scaled actor-pool bounds — one shared policy definition."""
-    from .similarity import _pool_size
-
-    return _pool_size()
-
-
 def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
                        text_col: str = "text",
                        max_rows: int = 50_000) -> Dataset:
@@ -432,6 +425,8 @@ def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
     path) there, or raise the cap explicitly.
     """
     import ray
+
+    from .shuffle import pool_size
 
     n = docs.count()
     if n > max_rows:
@@ -463,7 +458,7 @@ def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
                              "id_b": pa.array(b_out, pa.int64())})
 
     return docs.select_columns(["doc_id", text_col]).map_batches(
-        PairScan, batch_format="pyarrow", concurrency=_char_pool()
+        PairScan, batch_format="pyarrow", concurrency=pool_size()
     )
 
 

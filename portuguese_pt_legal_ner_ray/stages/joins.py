@@ -14,7 +14,9 @@ the target pipeline adds broadcast lookups and a partitioned hash join).
   row-index column; payloads are then gathered with ``take``. SQL null
   semantics (a null key matches nothing), exact int64 payloads (no pandas
   float promotion) and list payloads (which ``Table.join`` rejects as
-  non-key fields) all follow from that shape.
+  non-key fields) all follow from that shape. Null-key rows never join, so
+  they are dropped before the exchange, or, where the join keeps them
+  (left outer/anti), spread over random buckets instead of one hot bucket.
 """
 
 from __future__ import annotations
@@ -190,7 +192,20 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
     tagged_schema = out_schema.append(pa.field("__src", pa.int8()))
 
     def tag(src: int, own_cols: list[str]):
+        # a null key component matches nothing: rows that cannot reach the
+        # output (every right row, and left rows of inner/semi joins) are
+        # dropped here, and left rows that survive unmatched (left outer/
+        # anti) get random buckets, where ``bucket_by`` would send them all
+        # to bucket 0
+        keep_nulls = src == 0 and join_type in ("left outer", "left anti")
+
         def f(t: pa.Table) -> pa.Table:
+            null = np.zeros(len(t), dtype=bool)
+            for k in keys:
+                null |= np.asarray(pc.is_null(t[k]))
+            has_nulls = bool(null.any())
+            if has_nulls and not keep_nulls:
+                t = t.filter(~null)
             if src == 1 and probe_only:
                 t = t.select(keys).group_by(keys).aggregate([])
             n = len(t)
@@ -202,8 +217,14 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
                     cols.append(pc.cast(t[field.name], field.type))
                 else:
                     cols.append(pa.nulls(n, field.type))
-            return bucket_by(pa.Table.from_arrays(cols, schema=tagged_schema),
-                             keys, num_buckets)
+            out = bucket_by(pa.Table.from_arrays(cols, schema=tagged_schema),
+                            keys, num_buckets)
+            if has_nulls and keep_nulls:
+                b = np.array(out["__bucket"])
+                b[null] = np.random.default_rng().integers(
+                    num_buckets, size=int(null.sum()))
+                out = out.set_column(out.num_columns - 1, "__bucket", pa.array(b))
+            return out
 
         return f
 

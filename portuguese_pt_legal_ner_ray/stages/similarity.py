@@ -4,7 +4,9 @@
   matrix is broadcast once (``ray.put``), each batch does one float64
   numpy matmul against it, per-batch partial top-k keeps the shuffle tiny,
   and a final per-query reduce merges partials. Never materializes the
-  corpus.
+  corpus. The scan runs as plain Ray tasks (``partial_topk_task``), not an
+  actor pool: the per-worker init is one ``ray.get`` of the query matrix,
+  too cheap to be worth a pool's fresh worker processes.
 * ``ann_topk`` — THE default ANN entry point, index-first: with an
   ``index_dir`` it builds/reuses the persisted cell-partitioned IVF index
   (``ivf_build``/``ivf_query``) so queries read ONLY probed partitions —
@@ -27,11 +29,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-
-def _pool_size() -> tuple[int, int]:
-    from .shuffle import pool_size
-
-    return pool_size()
+from .shuffle import pool_size
 
 
 def _norm_rows(m: np.ndarray) -> np.ndarray:
@@ -51,7 +49,9 @@ class _PartialTopK:
 
     def __init__(self, queries_ref, k: int, emb_col: str, id_col: str):
         q = ray.get(queries_ref)  # {"ids": int64[nq], "mat": float64[nq, d]}
-        self.q_ids = q["ids"]
+        # copied: a zero-copy view would pin the broadcast object for as
+        # long as a task worker caches this kernel
+        self.q_ids = np.array(q["ids"])
         self.q_mat = _norm_rows(q["mat"])
         self.k = k
         self.emb_col = emb_col
@@ -84,6 +84,28 @@ class _PartialTopK:
         )
 
 
+_TASK_KERNELS: dict[tuple, _PartialTopK] = {}
+
+
+def partial_topk_task(batch: pa.Table, queries_ref, k: int, emb_col: str,
+                      id_col: str) -> pa.Table:
+    """Task-mode scan of ``brute_force_topk``:
+    ``map_batches(partial_topk_task, fn_kwargs=...)``.
+
+    Ray reuses worker processes across tasks, so each worker builds the
+    ``_PartialTopK`` kernel (one ``ray.get`` + row normalization of the
+    query matrix) once per query ref and argument set, without an actor
+    pool holding CPUs.
+    """
+    key = (queries_ref.binary(), k, emb_col, id_col)
+    kernel = _TASK_KERNELS.get(key)
+    if kernel is None:
+        if len(_TASK_KERNELS) >= 4:  # bound a long-lived worker's cache
+            _TASK_KERNELS.clear()
+        kernel = _TASK_KERNELS[key] = _PartialTopK(queries_ref, k, emb_col, id_col)
+    return kernel(batch)
+
+
 def brute_force_topk(
     vectors: Dataset,
     queries_ref,
@@ -98,11 +120,10 @@ def brute_force_topk(
     ascending vec_id so output is fully deterministic.
     """
     partials = vectors.map_batches(
-        _PartialTopK,
+        partial_topk_task,
         batch_format="pyarrow",
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k,
-                                   emb_col=emb_col, id_col=id_col),
-        concurrency=_pool_size(),
+        fn_kwargs=dict(queries_ref=queries_ref, k=k, emb_col=emb_col,
+                       id_col=id_col),
     )
     return _topk_reduce(partials, k, exclude_self=exclude_self)
 
@@ -253,7 +274,7 @@ def embedding_near_dup_pairs_ivf(
 
     return (
         vectors.select_columns([id_col, emb_col])
-        .map_batches(AssignCell, batch_format="pyarrow", concurrency=_pool_size())
+        .map_batches(AssignCell, batch_format="pyarrow", concurrency=pool_size())
         .groupby("__cell")
         .map_groups(cell_pairs, batch_format="pyarrow")
     )
@@ -348,7 +369,7 @@ def ivf_topk(
         batch_format="pyarrow",
         fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k,
                                    emb_col=emb_col, id_col=id_col),
-        concurrency=_pool_size(),
+        concurrency=pool_size(),
     )
     return _topk_reduce(partials, k)
 
@@ -626,7 +647,7 @@ def ivf_query(
         batch_format="pyarrow",
         fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k,
                                    emb_col=emb_col, id_col=id_col),
-        concurrency=_pool_size(),
+        concurrency=pool_size(),
     )
     return _topk_reduce(partials, k)
 

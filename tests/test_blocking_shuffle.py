@@ -761,6 +761,56 @@ def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session):
     assert sorted(r[2] for r in rows(con.sql(sql["anti"]).arrow())) == [1, 3, 5]
 
 
+def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
+    """A null join key matches nothing, so null-key rows must not pile into
+    the one bucket ``bucket_by`` hashes a null to. With a 50%-null key the
+    rows a left join exchanges have bucket max/mean under 2 (all nulls in
+    bucket 0 gives ~30 here), every left row still comes out once with a
+    null payload where its key is null, and an inner join exchanges no
+    null-key row at all."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+    from ray.data import Dataset
+
+    from portuguese_pt_legal_ner_ray.stages.joins import hash_join, hash_left_join
+
+    n, nb = 4000, 64
+    left = pa.table({"k": [None if i % 2 else f"k{i}" for i in range(n)],
+                     "p": pa.array(range(n), pa.int64())})
+    right = pa.table({"k": [None if i % 2 else f"k{2 * i}" for i in range(n // 2)],
+                      "w": pa.array(range(n // 2), pa.int64())})
+    exchanged = []
+    orig = Dataset.groupby
+
+    def spy(self, key, *a, **kw):
+        exchanged.append(self)
+        return orig(self, key, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "groupby", spy)
+
+    def run(join):
+        exchanged.clear()
+        out = join(ray.data.from_arrow(left).repartition(4),
+                   ray.data.from_arrow(right).repartition(2), key="k",
+                   num_buckets=nb)
+        got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
+        assert len(exchanged) == 1
+        tagged = pa.concat_tables(exchanged[0].iter_batches(batch_format="pyarrow"))
+        return got.sort_by("p"), tagged
+
+    got, tagged = run(hash_left_join)
+    assert got["p"].to_pylist() == list(range(n))
+    want_w = [i // 2 if i % 4 == 0 else None for i in range(n)]
+    assert got["w"].to_pylist() == want_w
+    sizes = np.bincount(np.asarray(tagged["__bucket"]), minlength=nb)
+    assert sizes.max() / sizes.mean() < 2, sizes.max() / sizes.mean()
+
+    got, tagged = run(hash_join)
+    assert got["p"].to_pylist() == list(range(0, n, 4))
+    assert tagged["k"].null_count == 0
+
+
 def test_grouped_binned_quantiles_exact_vs_duckdb(ray_session):
     """grouped_binned_quantiles == DuckDB quantile_disc PER GROUP on a
     continuous (mostly unique) value column — unbounded per-group value

@@ -119,6 +119,87 @@ def test_one_cpu_ray_pipeline_finishes(tmp_path):
         assert got.equals(want.cast(got.schema)), name
 
 
+# the eleven registry queries the ``ops`` benchmark workload runs
+OPS_QUERIES = (
+    "rel_returned_lineitems_by_order_line", "rel_customers_without_orders",
+    "rel_orders_per_nation", "events_sessionize", "events_asof_purchase",
+    "events_running_total", "orders_quantiles_per_priority",
+    "orders_price_quantiles", "ann_cosine_topk", "near_dup_ngram",
+    "dedup_exact_docs",
+)
+SF001 = "/root/testdata/sf0.01"  # the driver's correctness tables (TESTDATA.md)
+
+ONE_CPU_OPS_RUNNER = """
+import json, sys, ray
+sys.path[:0] = [{repo!r}, {scripts!r}]
+ray.init(address="local", num_cpus=1, object_store_memory=128 * 2**20,
+         include_dashboard=False, logging_level="ERROR", _temp_dir={ray_tmp!r})
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import __ray_entry__
+from driver_sim import canon, to_arrow
+qs = __ray_entry__.queries()
+got = {{q: list(canon(to_arrow(qs[q]({sf!r})))) for q in {names!r}}}
+ray.shutdown()
+with open({out!r}, "w") as f:
+    json.dump(got, f)
+"""
+
+
+def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
+    """Every ``ops`` query makes progress with one Ray CPU and equals its
+    DuckDB ``oracle_sql()`` result. ~10 s on a 4-core host; with the former
+    8-block read floor ``rel_orders_per_nation`` never finished."""
+    import json
+    import shutil
+    import tempfile
+
+    import duckdb
+
+    import portuguese_pt_legal_ner_ray.oracle as oracle
+    import portuguese_pt_legal_ner_ray.oracle_mirrors as mirrors
+    import portuguese_pt_legal_ner_ray.sources.multimodal as mm
+
+    out = tmp_path / "got.json"
+    # own short temp dir: the session's socket paths must stay under the
+    # unix-socket length limit, and a killed session leaves nothing behind
+    # that a later ray.init could trip over
+    ray_tmp = tempfile.mkdtemp(prefix="ray1cpu")
+    code = ONE_CPU_OPS_RUNNER.format(
+        repo=str(REPO), scripts=str(REPO / "scripts"), ray_tmp=ray_tmp,
+        sf=SF001, names=OPS_QUERIES, out=str(out))
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=REPO,
+                            start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        assert proc.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise AssertionError("the ops queries at num_cpus=1 did not finish in 120 s")
+    finally:
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    got = json.loads(out.read_text())
+
+    # oracle_sql() builds KG goldens first; these queries read none of them
+    for mod, name in [(oracle, "ensure_goldens"),
+                      (mirrors, "ensure_mirror_goldens"),
+                      (mm, "ensure_media_table")]:
+        monkeypatch.setattr(mod, name, lambda *_a, **_k: Path("unused"))
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    monkeypatch.syspath_prepend(str(REPO))
+    import __ray_entry__
+    from driver_sim import canon
+
+    sqls = __ray_entry__.oracle_sql()
+    con = duckdb.connect()
+    for t in ("customer", "orders", "lineitem", "nation", "events",
+              "documents", "embeddings"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF001}/{t}.parquet')")
+    for q in OPS_QUERIES:
+        assert got[q] == list(canon(con.execute(sqls[q]).arrow())), q
+
+
 def test_resume_invalidates_on_changed_inputs(ray_session, tmp_path):
     """Rerunning against a changed input set / partition count must NOT
     serve stale extract or graph outputs (manifest rows are validated

@@ -145,6 +145,8 @@ def test_sized_read_parquet_block_budget(ray_session, tmp_path):
     try:
         sized_read_parquet(str(p), min_blocks=3)
         assert seen["n"] == 3  # tiny file floors at min_blocks
+        sized_read_parquet(str(p))
+        assert seen["n"] == 1  # no floor by default: a tiny file is 1 block
         sized_read_parquet(str(p), target_block_bytes=1024, max_blocks=5)
         assert seen["n"] == 5  # byte budget exceeds the cap -> capped
         sized_read_parquet(str(p), target_block_bytes=1024, min_blocks=1)

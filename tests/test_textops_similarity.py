@@ -177,6 +177,40 @@ def test_brute_force_topk_matches_numpy(ray_session):
         assert list(got[got["query_id"] == qid]["vec_id"]) == want
 
 
+def test_brute_force_topk_scans_as_tasks(ray_session, monkeypatch):
+    """The brute-force scan is a task-mode ``map_batches`` over a function
+    with the query ref in ``fn_kwargs``: no actor class, no ``concurrency``
+    pool holding CPUs."""
+    import ray
+    from ray.data import Dataset
+
+    from portuguese_pt_legal_ner_ray.stages import similarity
+
+    calls = []
+    orig = Dataset.map_batches
+
+    def spy(self, fn, *a, **kw):
+        calls.append((fn, kw))
+        return orig(self, fn, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "map_batches", spy)
+    vecs = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(20), pa.int64()),
+        "embedding": pa.array([[float(i), 1.0] for i in range(20)],
+                              pa.list_(pa.float32())),
+    }))
+    qref = similarity.make_query_ref(vecs, [3])
+    calls.clear()
+    got = similarity.brute_force_topk(vecs, qref, k=2).to_pandas()
+    assert len(got) == 2
+    scan = [(fn, kw) for fn, kw in calls if fn is similarity.partial_topk_task]
+    assert len(scan) == 1
+    assert scan[0][1]["fn_kwargs"]["queries_ref"] == qref
+    for fn, kw in calls:
+        assert not isinstance(fn, type), fn
+        assert kw.get("concurrency") is None, fn
+
+
 def test_embedding_near_dup_finds_planted_pair(ray_session):
     import ray
 
