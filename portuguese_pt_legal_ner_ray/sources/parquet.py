@@ -12,13 +12,15 @@ per ``target_block_bytes`` (32 MB) of input, capped at ``max_blocks``. There
 is no block floor by default: a sub-32 MB table is one block, so every
 all-to-all round over it runs as few tasks as the data needs. A floor of 8
 blocks made the ``ops`` benchmark's query list ~1.5x slower (17.9 s vs
-12.1 s per cold pass at 4 CPUs, BASELINE.md): the cost of a small shuffle is
-its task count, not its bytes. At 100 TB the
-same rule produces thousands of blocks — it only changes behavior where the
-default over-splits. When the per-row downstream compute is heavy enough to
-want one block per core on small inputs (brute-force embedding scans,
-simhash), pass ``min_blocks=<cpu count>`` — see ``_docs(wide=True)`` and
-``near_dup_embedding`` in ``__ray_entry__.py``.
+12.1 s per cold pass at 4 CPUs) and 35 registry queries on the sf0.1 tables
+~1.45x slower (48.5 s vs 33.0 s, BASELINE.md): the cost of a small shuffle
+is its task count, not its bytes. Dropping that floor changed every input of
+up to 224 MB (7 x 32 MB, file bytes), which now reads as 1-7 blocks instead
+of 8; larger inputs read as before, and at 100 TB the same rule produces
+thousands of blocks. When the per-row downstream compute is heavy enough to
+want one block per core on small inputs (the O(n^2) embedding near-dup
+scan, simhash), pass ``min_blocks=<cpu count>`` — see ``_docs(wide=True)``
+and ``near_dup_embedding`` in ``__ray_entry__.py``.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from ..functions.html import html_to_text_arrow
 from ..functions.paragraphs import explode_paragraphs_arrow
 from ..functions.tagger import RegexGazetteerTagger
 from ..functions.triples import extract_triples
+from .shuffle import worker_cached
 
 SPAN_T = pa.struct(
     [
@@ -235,12 +236,8 @@ def ner_triples_task(batch: pa.Table, cfg: PipelineConfig | None = None) -> pa.T
     share a tagger.
     """
     cfg = cfg or PipelineConfig()
-    key = _stage_key(cfg)
-    stage = _TASK_STAGES.get(key)
-    if stage is None:
-        if len(_TASK_STAGES) >= 4:  # bound a long-lived worker's cache
-            _TASK_STAGES.clear()
-        stage = _TASK_STAGES[key] = NerTripleStage(cfg)
+    stage = worker_cached(_TASK_STAGES, _stage_key(cfg),
+                          lambda: NerTripleStage(cfg))
     return stage(batch)
 
 

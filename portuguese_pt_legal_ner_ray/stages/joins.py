@@ -16,7 +16,8 @@ the target pipeline adds broadcast lookups and a partitioned hash join).
   float promotion) and list payloads (which ``Table.join`` rejects as
   non-key fields) all follow from that shape. Null-key rows never join, so
   they are dropped before the exchange, or, where the join keeps them
-  (left outer/anti), spread over random buckets instead of one hot bucket.
+  (left outer/anti), dealt round-robin over the buckets instead of piling
+  into one hot bucket.
 """
 
 from __future__ import annotations
@@ -195,8 +196,10 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
         # a null key component matches nothing: rows that cannot reach the
         # output (every right row, and left rows of inner/semi joins) are
         # dropped here, and left rows that survive unmatched (left outer/
-        # anti) get random buckets, where ``bucket_by`` would send them all
-        # to bucket 0
+        # anti) are dealt round-robin over the buckets, where ``bucket_by``
+        # would send them all to bucket 0. The deal starts at an offset
+        # fixed by the batch's other buckets, so a re-executed task routes
+        # every row as before.
         keep_nulls = src == 0 and join_type in ("left outer", "left anti")
 
         def f(t: pa.Table) -> pa.Table:
@@ -221,8 +224,7 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
                             keys, num_buckets)
             if has_nulls and keep_nulls:
                 b = np.array(out["__bucket"])
-                b[null] = np.random.default_rng().integers(
-                    num_buckets, size=int(null.sum()))
+                b[null] = (int(b.sum()) + np.arange(int(null.sum()))) % num_buckets
                 out = out.set_column(out.num_columns - 1, "__bucket", pa.array(b))
             return out
 

@@ -32,6 +32,7 @@ from ..config import LINK_LABELS, LinkingConfig
 from ..functions.blocking import pairs_for_block
 from ..functions.minhash import MinHasher, jaccard, shingles
 from ..functions.normalize import entity_key
+from .shuffle import worker_cached
 
 # Above this many linkable partial rows (an upper bound on distinct linkable
 # keys), linking and canonical-id application switch to the distributed path
@@ -79,15 +80,12 @@ class MentionPartial:
         )
 
 
-_TASK_PARTIAL: MentionPartial | None = None
+_TASK_PARTIAL: dict[None, MentionPartial] = {}
 
 
 def mention_partial_task(batch: pa.Table) -> pa.Table:
-    """Task-mode combiner: per-worker memo via module global."""
-    global _TASK_PARTIAL
-    if _TASK_PARTIAL is None:
-        _TASK_PARTIAL = MentionPartial()
-    return _TASK_PARTIAL(batch)
+    """Task-mode combiner: one ``MentionPartial`` per worker."""
+    return worker_cached(_TASK_PARTIAL, None, MentionPartial)(batch)
 
 
 def linkable_rows(batch: pa.Table) -> pa.Table:

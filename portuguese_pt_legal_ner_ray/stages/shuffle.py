@@ -33,6 +33,22 @@ def pool_size() -> tuple[int, int]:
 
     return (1, max(2, int(ray.cluster_resources().get("CPU", 8))))
 
+
+def worker_cached(store: dict, key, build):
+    """Per-worker memo for task-mode ``map_batches`` functions — THE shared
+    caching policy. Ray reuses worker processes across tasks, so what
+    ``build()`` makes (a tagger, a normalized broadcast matrix) is built
+    once per worker and ``key`` without an actor pool holding CPUs.
+    ``store`` is the caller's module-level dict, cleared when it reaches 4
+    entries to bound a long-lived worker's memory."""
+    value = store.get(key)
+    if value is None:
+        if len(store) >= 4:
+            store.clear()
+        value = store[key] = build()
+    return value
+
+
 # FNV-64 prime as the polynomial base; math is uint64 with natural wraparound
 _HASH_BASE = np.uint64(1099511628211)
 _POW: np.ndarray = np.array([1], dtype=np.uint64)

@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from .shuffle import pool_size
+from .shuffle import pool_size, worker_cached
 
 
 def _norm_rows(m: np.ndarray) -> np.ndarray:
@@ -97,12 +97,9 @@ def partial_topk_task(batch: pa.Table, queries_ref, k: int, emb_col: str,
     query matrix) once per query ref and argument set, without an actor
     pool holding CPUs.
     """
-    key = (queries_ref.binary(), k, emb_col, id_col)
-    kernel = _TASK_KERNELS.get(key)
-    if kernel is None:
-        if len(_TASK_KERNELS) >= 4:  # bound a long-lived worker's cache
-            _TASK_KERNELS.clear()
-        kernel = _TASK_KERNELS[key] = _PartialTopK(queries_ref, k, emb_col, id_col)
+    kernel = worker_cached(
+        _TASK_KERNELS, (queries_ref.binary(), k, emb_col, id_col),
+        lambda: _PartialTopK(queries_ref, k, emb_col, id_col))
     return kernel(batch)
 
 

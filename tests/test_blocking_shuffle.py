@@ -765,9 +765,10 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     """A null join key matches nothing, so null-key rows must not pile into
     the one bucket ``bucket_by`` hashes a null to. With a 50%-null key the
     rows a left join exchanges have bucket max/mean under 2 (all nulls in
-    bucket 0 gives ~30 here), every left row still comes out once with a
-    null payload where its key is null, and an inner join exchanges no
-    null-key row at all."""
+    bucket 0 gives ~30 here) and land in the same buckets when the tag
+    step runs again, every left row still comes out once with a null
+    payload where its key is null, and an inner join exchanges no null-key
+    row at all."""
     import numpy as np
     import pyarrow as pa
     import ray
@@ -805,6 +806,12 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     assert got["w"].to_pylist() == want_w
     sizes = np.bincount(np.asarray(tagged["__bucket"]), minlength=nb)
     assert sizes.max() / sizes.mean() < 2, sizes.max() / sizes.mean()
+    # routing is a function of the batch: a re-executed tag task (lineage
+    # reconstruction) must send every row to the same bucket again
+    again = pa.concat_tables(exchanged[0].iter_batches(batch_format="pyarrow"))
+    order = [("p", "ascending"), ("w", "ascending")]
+    assert (again.sort_by(order)["__bucket"].to_pylist()
+            == tagged.sort_by(order)["__bucket"].to_pylist())
 
     got, tagged = run(hash_join)
     assert got["p"].to_pylist() == list(range(0, n, 4))
