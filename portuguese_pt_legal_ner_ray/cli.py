@@ -15,8 +15,9 @@ Mirrors the reference's subcommand CLI shape (reference src/cli.py:506-549,
 * ``build <input_dir> <out_dir> [--config cfg.yaml]`` — run the KG pipeline
   (checkpointed; rerunning resumes automatically from manifests)
 * ``resume`` — alias of build (resume IS the default semantics)
-* ``report <out_dir>`` — print per-(stage, partition) manifest records
-  (the engine's ``list``/``show`` equivalent); ``--confusion-gold
+* ``report <out_dir>`` — print per-(stage, partition) manifest records:
+  row counts and wall seconds (the engine's ``list``/``show``
+  equivalent); ``--confusion-gold
   <spans.parquet>`` additionally renders the confusion-matrix CSV+PNG
   artifact under ``<out_dir>/artifacts/`` (reference src/tracking.py:253-272)
 * ``export <out_dir> <jsonl_path>`` — write reference-format prediction
@@ -73,7 +74,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         line.update({k: v for k, v in rec.items()
                      if k in ("pages", "paragraphs", "link_keys", "nodes",
                               "edges", "triples", "errors", "link_path",
-                              "phases")})
+                              "phases", "wall_s")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):
         # reference src/tracking.py:253-272 parity: confusion matrix saved

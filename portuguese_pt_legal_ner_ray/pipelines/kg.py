@@ -9,11 +9,18 @@ Layout under ``out_dir``::
     _manifest/            per-(stage, partition) checkpoint rows
 
 Partitioning: input parquet fragments are grouped into ``num_partitions``
-groups; each group is extracted by its own Ray Data jobs and checkpoints
+groups; each group is extracted by two Ray Data write jobs and checkpoints
 independently — a failed run resumes by skipping partitions whose manifest
 row exists (kill-and-resume test in tests/test_kill_resume.py). At 100 TB
 the partition is the unit of retry (~TB-scale file groups), while Ray's
 streaming executor parallelizes freely *within* each group.
+
+Independent write jobs run at the same time, from driver threads, up to one
+per cluster CPU (``_run_writes``): the write jobs of every pending
+partition, and the five graph-table writes after linking. A small job keeps
+only one or two of the cluster's CPUs busy, so run one after another they
+leave most CPUs idle. Every Dataset is built in the calling thread first;
+only the executions fan out.
 
 The wide section (linking + graph) runs once over all extraction output —
 its inputs (distinct entities, triples) are orders of magnitude smaller than
@@ -31,10 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
 import shutil
+import sys
 import time
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pyarrow as pa
@@ -104,25 +115,66 @@ def _files_sig(files: list[str]) -> list[list]:
     return [[f, (st := Path(f).stat()).st_size, st.st_mtime_ns] for f in files]
 
 
-def extract_partition(files: list[str], out_dir: Path, part: str,
-                      cfg: PipelineConfig,
-                      input_sig: list[list] | None = None) -> dict:
-    """One partition's linear section: read → text → explode → NER → write.
+def _settle_http_fs_import() -> None:
+    """Record once that ``fsspec.implementations.http`` cannot be imported.
 
-    Two streamed jobs over the input files: one writes the extracted text
+    Ray's ``ray.data.datasource.path_util._is_http_filesystem`` runs on
+    every ``read_parquet`` and ``write_parquet`` call. It imports that
+    module each time and catches only ``ModuleNotFoundError``. Without
+    ``aiohttp`` the import fails, so it is tried again on every call, and a
+    thread that imports while another thread's attempt is still running can
+    get a plain ``ImportError`` from the half-initialised module. A ``None``
+    entry in ``sys.modules`` makes every later import raise
+    ``ModuleNotFoundError`` at once, so no thread runs the import again.
+    Call it before any second thread starts a Ray Data job.
+    """
+    name = "fsspec.implementations.http"
+    if name in sys.modules:
+        return
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        sys.modules[name] = None
+
+
+def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float]]:
+    """Write each ``(dataset, dir)`` job to Parquet from driver threads, up
+    to ``min(jobs, cluster CPUs)`` jobs at a time.
+
+    A one-CPU Ray therefore runs them one at a time. Yields each job's
+    ``(start, end)`` ``perf_counter`` seconds in job order, as soon as the
+    job and every job before it have finished. The Datasets must already
+    be built: only their executions run in the threads. If a job raises,
+    jobs not yet started are cancelled, running ones are waited for, and
+    the error is raised to the caller.
+    """
+    width = max(1, min(len(jobs), int(ray.cluster_resources().get("CPU", 1))))
+    _settle_http_fs_import()
+
+    def write(ds: Dataset, path: Path) -> tuple[float, float]:
+        start = time.perf_counter()
+        ds.write_parquet(str(path))
+        return start, time.perf_counter()
+
+    pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="kg-write")
+    try:
+        futures = [pool.submit(write, ds, path) for ds, path in jobs]
+        for f in futures:
+            yield f.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _extract_jobs(files: list[str], out_dir: Path, part: str,
+                  cfg: PipelineConfig) -> list[tuple[Dataset, Path]]:
+    """One partition's two write jobs, built but not run.
+
+    Both stream over the input files: one writes the extracted text
     (``extracted/``), the other carries the text on through explode and NER
     into ``extraction/``. The second parses the HTML again (a vectorized
     Arrow kernel) rather than reading ``extracted/`` back; pinning the text
     in the object store for both jobs measured no faster.
-
-    ``input_sig`` is the (path, size, mtime_ns) signature captured BEFORE any
-    file is read (run_kg_pipeline passes its plan-time sigs). Signing after
-    processing would record a mid-run in-place rewrite's NEW identity against
-    outputs derived from the OLD content, so a later resume would validate
-    the stale partition as current.
     """
-    if input_sig is None:
-        input_sig = _files_sig(files)
     ext_dir = out_dir / "extracted" / f"part={part}"
     ner_dir = out_dir / "extraction" / f"part={part}"
     # a partition whose manifest row is missing may hold partial output from
@@ -135,19 +187,41 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
         return ray.data.read_parquet(files, columns=["url", "html", "lang"]).map_batches(
             extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
 
-    text().write_parquet(str(ext_dir))
-    (
+    ner = (
         text()
         .map_batches(explode_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(ner_triples_task, **ner_map_batches_kwargs(cfg))
-        .write_parquet(str(ner_dir))
     )
+    return [(text(), ext_dir), (ner, ner_dir)]
+
+
+def _partition_row(files: list[str], out_dir: Path, part: str,
+                   input_sig: list[list]) -> dict:
     return {
         "input_files": files,
         "input_sig": input_sig,
-        "pages": parquet_row_count(ext_dir),
-        "paragraphs": parquet_row_count(ner_dir),
+        "pages": parquet_row_count(out_dir / "extracted" / f"part={part}"),
+        "paragraphs": parquet_row_count(out_dir / "extraction" / f"part={part}"),
     }
+
+
+def extract_partition(files: list[str], out_dir: Path, part: str,
+                      cfg: PipelineConfig,
+                      input_sig: list[list] | None = None) -> dict:
+    """One partition's linear section: read → text → explode → NER → write,
+    as the two write jobs of ``_extract_jobs``, run at the same time.
+
+    ``input_sig`` is the (path, size, mtime_ns) signature captured BEFORE any
+    file is read (run_kg_pipeline passes its plan-time sigs). Signing after
+    processing would record a mid-run in-place rewrite's NEW identity against
+    outputs derived from the OLD content, so a later resume would validate
+    the stale partition as current.
+    """
+    if input_sig is None:
+        input_sig = _files_sig(files)
+    for _ in _run_writes(_extract_jobs(files, out_dir, part, cfg)):
+        pass
+    return _partition_row(files, out_dir, part, input_sig)
 
 
 def graph_stage(out_dir: Path, cfg: PipelineConfig,
@@ -160,9 +234,11 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig,
     ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows, or with
     ``force_distributed_cc``, it runs as Ray tasks (``BandStage`` →
     ``candidate_pairs`` → distributed CC). ``graph/{spans,triples,errors}``
-    are written straight from ``extraction/`` and never read back.
+    are written straight from ``extraction/`` and never read back. The five
+    table writes run at the same time (``_run_writes``).
     Returns the graph manifest row: row counts, ``link_path``, the number
-    of keys linking ran over, and per-phase wall seconds.
+    of keys linking ran over, and per-phase wall seconds: ``link``, each
+    table's write job, and ``writes`` for the whole block of writes.
     """
     graph = out_dir / "graph"
     if graph.exists():
@@ -208,23 +284,20 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig,
         phases["link"] = time.perf_counter() - t0
         nodes = build_nodes(mentions, comp_ds)
         edge_args = dict(comp_ds=comp_ds)
-    t = time.perf_counter()
-    nodes.write_parquet(str(graph / "nodes"))
-    phases["nodes"] = time.perf_counter() - t
-    t = time.perf_counter()
-    build_edges(triples, **edge_args).write_parquet(str(graph / "edges"))
-    phases["edges"] = time.perf_counter() - t
-    t = time.perf_counter()
-    spans.write_parquet(str(graph / "spans"))
-    triples.write_parquet(str(graph / "triples"))
     # poison-pill quarantine: rows whose tagging failed carry an error
     # string (never silently dropped entities — SURVEY.md §4); surfaced as
     # an errors table with url lineage for reprocessing
-    extraction.map_batches(
+    errors = extraction.map_batches(
         lambda t: t.filter(pc.is_valid(t["error"])).select(["url", "para_idx", "error"]),
         batch_format="pyarrow",
-    ).write_parquet(str(graph / "errors"))
-    phases["tables"] = time.perf_counter() - t
+    )
+    tables = {"nodes": nodes, "edges": build_edges(triples, **edge_args),
+              "spans": spans, "triples": triples, "errors": errors}
+    t = time.perf_counter()
+    timings = _run_writes([(ds, graph / name) for name, ds in tables.items()])
+    for name, (start, end) in zip(tables, timings):
+        phases[name] = end - start
+    phases["writes"] = time.perf_counter() - t
     return {
         "link_path": "driver" if driver else "distributed",
         "link_keys": n_keys,
@@ -252,6 +325,12 @@ def run_kg_pipeline(
     silently serve stale outputs. Stale partitions beyond the current plan
     (a shrunk ``num_partitions``) are deleted before the graph stage reads
     the extraction directory.
+
+    The write jobs of all pending partitions run at the same time
+    (``_run_writes``), unless ``cfg.ner_concurrency`` is set: then one
+    partition runs at a time, so the cap holds for the whole run. Each
+    partition's manifest row is written in plan order once both of its jobs
+    finished, with its wall seconds (``wall_s``) outside the fingerprint.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —
     used by the kill-and-resume test only.
@@ -281,24 +360,33 @@ def run_kg_pipeline(
         model_art = model_artifact_sig(cfg.model_dir)
         cfg_fp = hashlib.md5((cfg_fp + model_art["sig"]).encode()).hexdigest()
     plan_fp = hashlib.md5(json.dumps([plan_sigs, cfg_fp]).encode()).hexdigest()
-    done_parts = 0
-    ran_any = False
+    pending = [i for i, sig in enumerate(plan_sigs)
+               if not ((rec := manifest.read("extract", f"{i:05d}")) is not None
+                       and rec.get("input_sig") == sig
+                       and rec.get("cfg_fp") == cfg_fp)]
+    ran_any = bool(pending)
+    crash = fail_after_partitions is not None and len(pending) > fail_after_partitions
+    if crash:
+        pending = pending[:fail_after_partitions]
+    # ner_concurrency caps one Dataset's NER tasks; concurrent partitions
+    # would add their caps up, so with a cap set they run one at a time
+    batches = [pending] if cfg.ner_concurrency is None else [[i] for i in pending]
     t_extract = time.perf_counter()
-    for i, files in enumerate(plan):
-        part = f"{i:05d}"
-        rec = manifest.read("extract", part)
-        if (rec is not None and rec.get("input_sig") == plan_sigs[i]
-                and rec.get("cfg_fp") == cfg_fp):
-            continue
-        if fail_after_partitions is not None and done_parts >= fail_after_partitions:
-            raise RuntimeError("injected failure for resume test")
-        meta = extract_partition(files, out_dir, part, cfg,
-                                 input_sig=plan_sigs[i])
-        if model_art is not None:
-            meta["model"] = model_art
-        manifest.mark_done("extract", part, cfg_fp=cfg_fp, **meta)
-        done_parts += 1
-        ran_any = True
+    for batch in batches:
+        jobs = [job for i in batch
+                for job in _extract_jobs(plan[i], out_dir, f"{i:05d}", cfg)]
+        timings = _run_writes(jobs)
+        # rows in plan order, each once both of its partition's jobs finished
+        for i in batch:
+            (s0, e0), (s1, e1) = next(timings), next(timings)
+            part = f"{i:05d}"
+            meta = _partition_row(plan[i], out_dir, part, plan_sigs[i])
+            meta["wall_s"] = round(max(e0, e1) - min(s0, s1), 3)
+            if model_art is not None:
+                meta["model"] = model_art
+            manifest.mark_done("extract", part, cfg_fp=cfg_fp, **meta)
+    if crash:
+        raise RuntimeError("injected failure for resume test")
     # drop partitions a previous (wider) plan produced that this plan no
     # longer owns — graph_stage reads the whole extraction dir. Scan the
     # actual output dirs, not just manifest rows: a crashed run can leave an

@@ -101,12 +101,15 @@ def connected_components_distributed(
 
         return bucket_by(t, ["node"])
 
-    last_crc = _checksum(
-        comp.map_batches(lambda t: pa.table({"node": t["node"], "comp": t["comp"]}),
-                         batch_format="pyarrow")
-    )
+    last_crc = _checksum(comp)
     from ..stages.shuffle import grouped_agg
 
+    # a sort-based groupby emits as many blocks as its input has, so each
+    # round's output would carry the edge blocks on into the next round's
+    # union, and every round would run more tasks than the one before;
+    # repartitioning each round's output to the first comp's block count
+    # keeps the rounds the same size
+    n_blocks = comp.num_blocks()
     for _ in range(max_iters):
         msgs = (
             comp.union(edges)
@@ -121,14 +124,10 @@ def connected_components_distributed(
                                     "dst": pa.nulls(len(t), pa.string())}),
                 batch_format="pyarrow",
             )
+            .repartition(n_blocks)
             .materialize()
         )
-        crc = _checksum(
-            new_comp.map_batches(
-                lambda t: pa.table({"node": t["node"], "comp": t["comp"]}),
-                batch_format="pyarrow",
-            )
-        )
+        crc = _checksum(new_comp)
         comp = new_comp
         if crc == last_crc:
             break

@@ -1,0 +1,113 @@
+"""run_kg_pipeline runs its independent Ray Data write jobs at the same time,
+from driver threads, up to one job per cluster CPU: the jobs of every
+pending extract partition, then the five graph-table writes. These tests pin
+that contract and the two things it must not break: Ray's path handling
+under concurrent threads, and the NER concurrency cap."""
+
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from portuguese_pt_legal_ner_ray.config import PipelineConfig
+from portuguese_pt_legal_ner_ray.pipelines import kg
+
+
+def test_http_filesystem_check_survives_concurrent_threads():
+    """Ray's ``_is_http_filesystem`` runs on every read/write_parquet call
+    and imports ``fsspec.implementations.http``, which fails without
+    aiohttp. Threads racing on that failing import got a plain ImportError
+    (a few in 8 x 500 calls) until the failure is recorded once."""
+    import pyarrow.fs as pafs
+    from ray.data.datasource.path_util import _is_http_filesystem
+
+    kg._settle_http_fs_import()
+    fs = pafs.LocalFileSystem()
+    errors: list[BaseException] = []
+    start = threading.Barrier(8)
+
+    def hammer():
+        start.wait()
+        for _ in range(500):
+            try:
+                _is_http_filesystem(fs)
+            except ImportError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+
+
+def _spy_writes(monkeypatch) -> dict[str, tuple[float, float]]:
+    """Record the (start, end) of every Dataset.write_parquet, by path."""
+    import ray.data
+
+    spans: dict[str, tuple[float, float]] = {}
+    orig = ray.data.Dataset.write_parquet
+
+    def spy(self, path, *args, **kwargs):
+        t = time.perf_counter()
+        orig(self, path, *args, **kwargs)
+        spans[str(path)] = (t, time.perf_counter())
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", spy)
+    return spans
+
+
+def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
+
+
+@pytest.mark.parametrize("cpus", [4, 1])
+def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus):
+    """At 4 Ray CPUs the write jobs of two pending partitions overlap in
+    time, and so do the graph-table writes; at 1 CPU no two writes overlap.
+    The 1-CPU case reports one CPU to the pipeline from the 4-CPU session."""
+    import ray
+
+    if cpus == 1:
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    spans = _spy_writes(monkeypatch)
+    out = tmp_path / "out"
+    kg.run_kg_pipeline(mini_run["input"], out, num_partitions=2)
+    ner = [spans[str(out / "extraction" / f"part={p}")] for p in ("00000", "00001")]
+    graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges", "spans")]
+    if cpus > 1:
+        assert _overlap(*ner)
+        assert _overlap(graph[0], graph[1]) and _overlap(graph[0], graph[2])
+    else:
+        ordered = sorted(spans.values())
+        assert len(ordered) == 2 * 2 + 5
+        assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
+
+
+def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkeypatch):
+    """``cfg.ner_concurrency`` caps the concurrent NER tasks of the whole
+    run, as ``ner_map_batches_kwargs`` promises, not of each partition:
+    with a cap of 1, no two NER calls of four pending partitions overlap.
+    Each call appends its wall-clock interval to a file, since the calls run
+    in Ray worker processes; a sleep stretches each call, so calls of
+    partitions run together would overlap."""
+    log = tmp_path / "ner_calls.txt"
+    real = kg.ner_triples_task
+
+    def timed_ner(batch, cfg):
+        t = time.time()
+        out = real(batch, cfg=cfg)
+        time.sleep(0.3)
+        with open(log, "a") as f:
+            f.write(f"{t} {time.time()}\n")
+        return out
+
+    monkeypatch.setattr(kg, "ner_triples_task", timed_ner)
+    kg.run_kg_pipeline(mini_run["input"], tmp_path / "out", num_partitions=4,
+                       cfg=PipelineConfig(ner_concurrency=1))
+    calls = sorted(tuple(map(float, line.split())) for line in
+                   Path(log).read_text().splitlines())
+    assert len(calls) >= 4
+    assert all(a[1] <= b[0] for a, b in zip(calls, calls[1:]))

@@ -185,16 +185,24 @@ def test_ner_remote_args_reject_reserved_keys():
 
 def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     """Changing ner_ray_remote_args (a pure placement knob) must NOT
-    invalidate finished partitions on resume."""
+    invalidate finished partitions on resume. The wall seconds the manifest
+    rows record (each extract row's ``wall_s``, each graph write's phase)
+    sit outside the fingerprint too: the rerun leaves every row as it was."""
     from portuguese_pt_legal_ner_ray.state.manifest import Manifest
 
     out = tmp_path / "out_fp"
     run_kg_pipeline(mini_run["input"], out, num_partitions=2)
+    rows = Manifest(out).all_records()
     before = {
         r["partition"]: r["completed_at"]
-        for r in Manifest(out).all_records()
+        for r in rows
         if r["stage"] == "extract"
     }
+    assert all(r["wall_s"] > 0 for r in rows if r["stage"] == "extract")
+    phases = Manifest(out).read("graph", "all")["phases"]
+    assert {"extract", "link", "nodes", "edges", "spans", "triples", "errors",
+            "writes"} <= set(phases)
+    graph_before = Manifest(out).read("graph", "all")
     run_kg_pipeline(
         mini_run["input"], out,
         cfg=PipelineConfig(ner_ray_remote_args={"num_cpus": 1}),
@@ -206,6 +214,7 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
         if r["stage"] == "extract"
     }
     assert after == before, "placement-only config change recomputed partitions"
+    assert Manifest(out).read("graph", "all") == graph_before
 
 
 def test_gpu_claim_sizes_actor_pool_to_gpu_budget():

@@ -126,6 +126,37 @@ def test_cc_checksum_independent_of_blocks(ray_session):
     assert len(sums) == 1
 
 
+def test_cc_rounds_keep_block_count(ray_session, monkeypatch):
+    """Each label-propagation round unions the current assignment with the
+    edge rows. Its output must not carry the edge blocks on into the next
+    round, or every round runs more tasks than the one before: the
+    assignment checked after each round keeps the first one's block count."""
+    import ray
+
+    from portuguese_pt_legal_ner_ray.state import components
+
+    # 8 chains of 6 nodes: the min label needs 5 rounds to cross a chain
+    chains = [[f"c{c}_{j}" for j in range(6)] for c in range(8)]
+    pairs = [p for ch in chains for p in zip(ch, ch[1:])]
+    keys_ds = ray.data.from_arrow(pa.table(
+        {"key": [n for ch in chains for n in ch]})).repartition(3)
+    pairs_ds = ray.data.from_arrow(pa.table(
+        {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}))
+    blocks = []
+    real = components._checksum
+
+    def counting(ds):
+        blocks.append(ds.num_blocks())
+        return real(ds)
+
+    monkeypatch.setattr(components, "_checksum", counting)
+    comp = components.connected_components_distributed(keys_ds, pairs_ds)
+    got = {r["key"]: r["comp"] for r in comp.take_all()}
+    assert got == {n: ch[0] for ch in chains for n in ch}
+    assert len(blocks) >= 6
+    assert set(blocks) == {3}
+
+
 def test_skewed_hot_cluster_links_fully(ray_session):
     """One entity with > SALT_THRESHOLD near-identical variants: the salted
     pairing + band redundancy must still produce ONE component, identically
