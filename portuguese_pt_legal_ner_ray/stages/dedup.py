@@ -77,7 +77,7 @@ def dedup_apply(docs: Dataset, text_col: str = "text", id_col: str = "doc_id") -
     """
     import hashlib
 
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
     def fp(batch: pa.Table) -> pa.Table:
         fps = pa.array(
@@ -85,24 +85,18 @@ def dedup_apply(docs: Dataset, text_col: str = "text", id_col: str = "doc_id") -
              for t in batch[text_col].to_pylist()],
             pa.string(),
         )
-        # route by fingerprint hash so the keep-first runs once per BUCKET
-        # (vectorized sort + drop_duplicates), not once per distinct text
-        t = pa.table({"fingerprint": fps, id_col: batch[id_col],
-                      text_col: batch[text_col]})
-        return bucket_by(t, ["fingerprint"])
+        return pa.table({"fingerprint": fps, id_col: batch[id_col],
+                         text_col: batch[text_col]})
 
     def keep_first(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["fingerprint", id_col], kind="stable")
         return g.drop_duplicates("fingerprint")[[id_col, text_col]]
 
-    import pandas as pd  # noqa: F401 - batch_format="pandas" below
-
-    return (
-        docs.select_columns([id_col, text_col])
-        .map_batches(fp, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    # route by fingerprint hash so the keep-first runs once per BUCKET
+    # (vectorized sort + drop_duplicates), not once per distinct text
+    return exchange(
+        docs.select_columns([id_col, text_col]).map_batches(fp, batch_format="pyarrow"),
+        ["fingerprint"], keep_first, batch_format="pandas")
 
 
 class MinhashBandStage:
@@ -147,22 +141,12 @@ def minhash_lsh_pairs(
     the corpus); nothing is materialized on the driver and no whole-corpus
     broadcast is made. When None, pairs are returned unverified.
     """
-    from .shuffle import bucket_by, grouped_count
+    from .shuffle import exchange, grouped_count
 
     cfg = cfg or LinkingConfig(num_hashes=32, num_bands=8, shingle_k=5)
     # task mode (warm workers), not an actor pool: the hasher state is a
     # cheap build, and pool startup would dominate at this stage size
     stage = MinhashBandStage(cfg=cfg, text_col=text_col)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, ["band"])
-
-    # route whole LSH bands by band-hash so pair generation runs once per
-    # BUCKET (64 UDF calls) instead of once per band (one Python call per
-    # distinct band key — tens of thousands)
-    bands = docs.map_batches(stage, batch_format="pyarrow").map_batches(
-        add_bucket, batch_format="pyarrow"
-    )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -180,9 +164,11 @@ def minhash_lsh_pairs(
                     b.append(ids[j])
         return pa.table({"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())})
 
-    raw_pairs = bands.groupby("__bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow"
-    )
+    # route whole LSH bands by band-hash so pair generation runs once per
+    # BUCKET (64 UDF calls) instead of once per band (one Python call per
+    # distinct band key — tens of thousands)
+    raw_pairs = exchange(docs.map_batches(stage, batch_format="pyarrow"),
+                         ["band"], bucket_pairs)
     if verify_docs is None:
         # distinct-pairs contract for the unverified output
         return grouped_count(raw_pairs, ["id_a", "id_b"]).select_columns(
@@ -297,7 +283,7 @@ def ngram_jaccard_pairs(
     """
     import numpy as np
 
-    from .shuffle import bucket_by, grouped_agg
+    from .shuffle import exchange, grouped_agg
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         grams, ids, sizes = [], [], []
@@ -308,12 +294,11 @@ def ngram_jaccard_pairs(
             grams.extend(gs)
             ids.extend([doc_id] * len(gs))
             sizes.extend([len(gs)] * len(gs))
-        t = pa.table({
+        return pa.table({
             "gram": pa.array(grams, pa.string()),
             id_col: pa.array(ids, pa.int64()),
             "sz": pa.array(sizes, pa.int64()),
         })
-        return bucket_by(t, ["gram"])
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -367,10 +352,9 @@ def ngram_jaccard_pairs(
         })
 
     pair_stats = grouped_agg(
-        docs.select_columns([id_col, text_col])
-        .map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow"),
+        exchange(docs.select_columns([id_col, text_col])
+                 .map_batches(gram_rows, batch_format="pyarrow"),
+                 ["gram"], bucket_pairs),
         ["id_a", "id_b"],
         {"ni": ("one", "sum"), "na": ("na", "max"), "nb": ("nb", "max")},
     )

@@ -56,7 +56,7 @@ def _merged_keys(pred_spans: Dataset, gold_spans: Dataset) -> Dataset:
         batch_format="pyarrow",
     )
     return grouped_agg(
-        pred.union(gold),
+        [pred, gold],
         _KEY_COLS,
         {
             "pred_label": ("pred_label", "max"),  # "" loses to any real label
@@ -223,7 +223,7 @@ def token_confusion(pred_spans: Dataset, gold_spans: Dataset,
         batch_format="pyarrow",
     )
     merged = grouped_agg(
-        pred.union(gold),
+        [pred, gold],
         ["url", "para_idx", "tok"],
         {"pred_tag": ("pred_tag", "max"), "gold_tag": ("gold_tag", "max")},
     )

@@ -8,16 +8,16 @@ the target pipeline adds broadcast lookups and a partitioned hash join).
   ``hash_anti_join`` — both-sides-large equi-joins (SQL inner, LEFT OUTER,
   EXISTS, NOT EXISTS). All four are thin wrappers over ONE bucketed plan
   (the "join over UNION ALL" shape): both sides are tagged by source and
-  routed by ``shuffle.bucket_by`` on the (single or composite) key, one
-  grouped ``map_groups`` exchange gathers each bucket, and the bucket
-  is resolved by ONE Arrow ``Table.join`` over the key columns plus a
-  row-index column; payloads are then gathered with ``take``. SQL null
-  semantics (a null key matches nothing), exact int64 payloads (no pandas
-  float promotion) and list payloads (which ``Table.join`` rejects as
-  non-key fields) all follow from that shape. Null-key rows never join, so
-  they are dropped before the exchange, or, where the join keeps them
-  (left outer/anti), dealt round-robin over the buckets instead of piling
-  into one hot bucket.
+  handed to ``shuffle.exchange`` on the (single or composite) key, which
+  unions them and gathers each bucket, and the bucket is resolved by ONE
+  Arrow ``Table.join`` over the key columns plus a row-index column;
+  payloads are then gathered with ``take``. SQL null semantics (a null
+  key matches nothing), exact int64 payloads (no pandas float promotion)
+  and list payloads (which ``Table.join`` rejects as non-key fields) all
+  follow from that shape. Null-key rows never join, so they are dropped
+  before the exchange, or, where the join keeps them (left outer/anti),
+  dealt round-robin over the buckets (``bucket_by(spread_nulls=True)``)
+  instead of piling into one hot bucket.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .shuffle import bucket_by
+from .shuffle import exchange
 
 
 class BroadcastLookup:
@@ -158,16 +158,15 @@ def _fields(ds) -> dict[str, pa.DataType]:
     return out
 
 
-def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
-                   bucket_post=None):
+def _bucketed_join(ds_a, ds_b, key, join_type: str, bucket_post=None):
     """THE join kernel behind the four public wrappers. ``join_type`` is an
     Arrow ``Table.join`` type: "inner", "left outer", "left semi" or
     "left anti".
 
     Both sides are reindexed to one shared tagged schema (keys, ``ds_a``
     payloads, ``ds_b`` payloads, ``__src``; a side's missing payload
-    columns are typed nulls) so union blocks agree on layout, then routed
-    by ``bucket_by`` so every occurrence of a key co-locates. Semi/anti
+    columns are typed nulls) so union blocks agree on layout, then one
+    ``shuffle.exchange`` co-locates every occurrence of a key. Semi/anti
     joins never read ``ds_b`` payloads, so the probe side ships only its
     per-batch-distinct key tuples. Inside a bucket the join runs on the
     keys plus a row index only, and payloads follow by ``take`` (a null
@@ -192,23 +191,20 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
                            + [(c, fb[c]) for c in b_cols])
     tagged_schema = out_schema.append(pa.field("__src", pa.int8()))
 
-    def tag(src: int, own_cols: list[str]):
+    def reindex(src: int, own_cols: list[str]):
         # a null key component matches nothing: rows that cannot reach the
         # output (every right row, and left rows of inner/semi joins) are
-        # dropped here, and left rows that survive unmatched (left outer/
-        # anti) are dealt round-robin over the buckets, where ``bucket_by``
-        # would send them all to bucket 0. The deal starts at an offset
-        # fixed by the batch's other buckets, so a re-executed task routes
-        # every row as before.
+        # dropped here; left rows that survive unmatched (left outer/anti)
+        # are dealt over the buckets by the exchange's ``spread_nulls``
         keep_nulls = src == 0 and join_type in ("left outer", "left anti")
 
         def f(t: pa.Table) -> pa.Table:
-            null = np.zeros(len(t), dtype=bool)
-            for k in keys:
-                null |= np.asarray(pc.is_null(t[k]))
-            has_nulls = bool(null.any())
-            if has_nulls and not keep_nulls:
-                t = t.filter(~null)
+            if not keep_nulls:
+                null = np.zeros(len(t), dtype=bool)
+                for k in keys:
+                    null |= np.asarray(pc.is_null(t[k]))
+                if null.any():
+                    t = t.filter(~null)
             if src == 1 and probe_only:
                 t = t.select(keys).group_by(keys).aggregate([])
             n = len(t)
@@ -220,13 +216,7 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
                     cols.append(pc.cast(t[field.name], field.type))
                 else:
                     cols.append(pa.nulls(n, field.type))
-            out = bucket_by(pa.Table.from_arrays(cols, schema=tagged_schema),
-                            keys, num_buckets)
-            if has_nulls and keep_nulls:
-                b = np.array(out["__bucket"])
-                b[null] = (int(b.sum()) + np.arange(int(null.sum()))) % num_buckets
-                out = out.set_column(out.num_columns - 1, "__bucket", pa.array(b))
-            return out
+            return pa.Table.from_arrays(cols, schema=tagged_schema)
 
         return f
 
@@ -246,15 +236,13 @@ def _bucketed_join(ds_a, ds_b, key, join_type: str, num_buckets: int,
         out = pa.Table.from_arrays(cols, schema=out_schema)
         return out if bucket_post is None else bucket_post(out)
 
-    return (
-        ds_a.map_batches(tag(0, a_cols), batch_format="pyarrow")
-        .union(ds_b.map_batches(tag(1, b_cols), batch_format="pyarrow"))
-        .groupby("__bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    return exchange(
+        [ds_a.map_batches(reindex(0, a_cols), batch_format="pyarrow"),
+         ds_b.map_batches(reindex(1, b_cols), batch_format="pyarrow")],
+        keys, join_bucket, spread_nulls=True)
 
 
-def hash_join(ds_a, ds_b, key, num_buckets: int = 64, bucket_post=None):
+def hash_join(ds_a, ds_b, key, bucket_post=None):
     """Inner equi-join of two Datasets on ``key`` (a column name, or a LIST
     of names for a composite key). Payload (non-key) column names must be
     disjoint; output is (keys, ``ds_a`` payloads, ``ds_b`` payloads).
@@ -268,24 +256,24 @@ def hash_join(ds_a, ds_b, key, num_buckets: int = 64, bucket_post=None):
     callback owns the output schema (return the same schema for every
     bucket, empty ones included).
     """
-    return _bucketed_join(ds_a, ds_b, key, "inner", num_buckets, bucket_post)
+    return _bucketed_join(ds_a, ds_b, key, "inner", bucket_post)
 
 
-def hash_left_join(ds_a, ds_b, key, num_buckets: int = 64):
+def hash_left_join(ds_a, ds_b, key):
     """LEFT OUTER equi-join on ``key`` (single column or composite list):
     every ``ds_a`` row survives, matched ``ds_b`` payloads attach, misses
     get typed nulls (int64 stays int64 — exact above 2^53)."""
-    return _bucketed_join(ds_a, ds_b, key, "left outer", num_buckets)
+    return _bucketed_join(ds_a, ds_b, key, "left outer")
 
 
-def hash_semi_join(ds_a, ds_b, key, num_buckets: int = 64):
+def hash_semi_join(ds_a, ds_b, key):
     """Rows of ``ds_a`` whose ``key`` (single or composite) equals some
     ``ds_b`` key (SQL ``EXISTS``); left duplicates are kept, each once."""
-    return _bucketed_join(ds_a, ds_b, key, "left semi", num_buckets)
+    return _bucketed_join(ds_a, ds_b, key, "left semi")
 
 
-def hash_anti_join(ds_a, ds_b, key, num_buckets: int = 64):
+def hash_anti_join(ds_a, ds_b, key):
     """Rows of ``ds_a`` whose ``key`` (single or composite) equals NO
     ``ds_b`` key (SQL ``NOT EXISTS``) — null keys never match, so a left
     row with a null key component always survives."""
-    return _bucketed_join(ds_a, ds_b, key, "left anti", num_buckets)
+    return _bucketed_join(ds_a, ds_b, key, "left anti")

@@ -143,19 +143,14 @@ def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
     scripts/bench_scale_paths.py for CC). The pair dedup is the bucketed
     ``grouped_count`` for the same reason.
     """
-    from .shuffle import bucket_by, grouped_count
+    from .shuffle import exchange, grouped_count
 
     def bucket_block_pairs(g: pa.Table) -> pa.Table:
         pairs = sorted(block_pairs(g, cfg))
         return pa.table({"a": pa.array([a for a, _ in pairs], pa.string()),
                          "b": pa.array([b for _, b in pairs], pa.string())})
 
-    pairs = (
-        bands_ds.map_batches(lambda t: bucket_by(t, ["label", "band_key"]),
-                             batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_block_pairs, batch_format="pyarrow")
-    )
+    pairs = exchange(bands_ds, ["label", "band_key"], bucket_block_pairs)
     # a pair found in several bands must be verified once: exact dedup shuffle
     deduped = grouped_count(pairs, ["a", "b"]).select_columns(["a", "b"])
 

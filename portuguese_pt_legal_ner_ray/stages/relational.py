@@ -231,8 +231,7 @@ def hash_split(docs: Dataset, bucket: int = 0, out_of: int = 8,
 
 
 def grouped_topk(ds: Dataset, group_cols: list[str], sort_col: str,
-                 id_col: str, k: int = 3, descending: bool = True,
-                 num_buckets: int = 64) -> Dataset:
+                 id_col: str, k: int = 3, descending: bool = True) -> Dataset:
     """Per-group top-k via the combiner pattern — the scale path for
     high-cardinality groups.
 
@@ -244,7 +243,7 @@ def grouped_topk(ds: Dataset, group_cols: list[str], sort_col: str,
     ``map_groups`` (fine for a handful of groups, one Python call per group
     otherwise).
     """
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
     asc = [not descending] + [True]
     by = [sort_col, id_col]
@@ -255,20 +254,11 @@ def grouped_topk(ds: Dataset, group_cols: list[str], sort_col: str,
         # row_number() PARTITION BY semantics of the oracle
         return df.groupby(group_cols, sort=False, dropna=False).head(k)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, group_cols, num_buckets)
-
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return local_topk(df).drop(columns="__bucket")
-
     cols = [*group_cols, sort_col, id_col]
-    return (
+    return exchange(
         ds.select_columns(cols)
-        .map_batches(lambda df: local_topk(df), batch_format="pandas", batch_size=None)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+        .map_batches(local_topk, batch_format="pandas", batch_size=None),
+        group_cols, local_topk, batch_format="pandas")
 
 
 def top_parts_per_brand(sf_dir: str, k: int = 3) -> Dataset:

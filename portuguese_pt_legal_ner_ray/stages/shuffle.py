@@ -1,15 +1,17 @@
-"""Shuffle helpers: pre-aggregated (combiner-style) grouped count/agg.
+"""Shuffle helpers: THE bucketed exchange and the grouped operators on it.
 
-Scale-safe replacements for ``ds.groupby(cols).aggregate(...)`` on
-high-cardinality string keys:
-
-1. per-batch Arrow ``Table.group_by`` (C++ hash aggregation) — the
-   *combiner*: the shuffle moves partial aggregates, never raw rows;
-2. partials are hash-bucketed (vectorized segmented polynomial hash over
-   the utf-8 buffer — process-stable, unlike ``hash()``) so the all-to-all
-   exchange range-partitions a small int key instead of multi-column
-   strings;
-3. one Arrow group_by per bucket merges the partials.
+* :func:`exchange` is the one bucketed shuffle every wide operator uses
+  (grouped aggregates, joins, windows, dedup, linking bands, top-k
+  reduces, distributed CC): a whole-block tag step routes each row by
+  :func:`bucket_by` — a vectorized segmented polynomial hash over the
+  utf-8 buffer of the joined key columns (process-stable, unlike
+  ``hash()``) modulo :data:`NUM_BUCKETS` — so the all-to-all sorts a
+  small int key instead of multi-column strings; a list of inputs is
+  unioned; and one UDF call per bucket sees every row of its keys.
+* ``grouped_count`` / ``grouped_count_distinct`` / ``grouped_agg`` put a
+  *combiner* in front of it: per-batch Arrow ``Table.group_by`` (C++ hash
+  aggregation), so the shuffle moves partial aggregates, never raw rows,
+  and one Arrow group_by per bucket merges the partials.
 
 All aggregates used are decomposable (min/max/sum/count as sum), so results
 are exact at any parallelism (each key hashes to exactly one bucket).
@@ -117,25 +119,87 @@ def hash_strings(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return h
 
 
-def bucket_by(tbl: pa.Table, cols: list[str], num_buckets: int = 64) -> pa.Table:
+NUM_BUCKETS = 64  # buckets of every exchange (read once per exchange() call)
+
+
+def bucket_by(tbl: pa.Table, cols: list[str], num_buckets: int = NUM_BUCKETS,
+              spread_nulls: bool = False) -> pa.Table:
     """Append a ``__bucket`` int column = hash(joined key cols) % buckets.
 
-    THE key-routing kernel shared by every bucket-level stage (grouped_*
-    combiners, hash_join, LSH pair-gen, sessionize/as-of, grouped_topk) —
-    one definition so separator / hash / dtype can never desynchronize.
-    Also strips schema metadata (parquet pandas-metadata is an unhashable
-    dict on this pyarrow and breaks Ray's block-schema dedup).
+    THE key-routing kernel behind :func:`exchange` — one definition so
+    separator / hash / dtype can never desynchronize. A row with a null in
+    any key column hashes to bucket 0; with ``spread_nulls`` (for rows that
+    can never match, such as a join's null keys) such rows are dealt
+    round-robin over the buckets instead, from an offset fixed by the batch
+    (the sum of its buckets), so a re-executed task routes every row as
+    before. Also strips schema metadata (parquet pandas-metadata is an
+    unhashable dict on this pyarrow and breaks Ray's block-schema dedup).
     """
     joined = pc.binary_join_element_wise(
         *[pc.cast(tbl[c], pa.string()) for c in cols], _SEP
     )
     buckets = (hash_strings(joined) % np.uint64(num_buckets)).astype(np.int64)
+    if spread_nulls:
+        null = np.asarray(pc.is_null(joined))
+        buckets[null] = (int(buckets.sum()) + np.arange(int(null.sum()))) % num_buckets
     return tbl.append_column(
         "__bucket", pa.array(buckets, pa.int64())
     ).replace_schema_metadata(None)
 
 
-_bucket_col = bucket_by  # internal alias used by the grouped_* combiners
+def _canonical_floats(tbl: pa.Table, cols: list[str]) -> pa.Table:
+    """Float key columns with one zero and one NaN: ``-0.0`` becomes
+    ``0.0`` (``x + 0.0``) and every NaN the plain NaN. SQL treats the two
+    zeros, and all NaNs, as one key; Arrow's ``group_by``/``join`` and the
+    string cast in :func:`bucket_by` compare bits and keep them apart."""
+    for c in cols:
+        col = tbl[c]
+        if pa.types.is_floating(col.type):
+            fixed = pc.if_else(pc.is_nan(col), pa.scalar(float("nan"), col.type),
+                               pc.add(col, pa.scalar(0.0, col.type)))
+            tbl = tbl.set_column(tbl.schema.get_field_index(c), c, fixed)
+    return tbl
+
+
+def exchange(inputs: Dataset | list[Dataset], keys: list[str], per_bucket,
+             batch_format: str = "pyarrow", spread_nulls: bool = False) -> Dataset:
+    """THE bucketed shuffle: every row with equal ``keys`` reaches the same
+    ``per_bucket`` call, which sees a whole bucket of keys at once (one UDF
+    call per bucket, never one per key).
+
+    1. each input is tagged with :func:`bucket_by` in a whole-block
+       ``map_batches``, which fuses into the upstream map (float keys are
+       canonicalized first, see :func:`_canonical_floats`);
+    2. a list of inputs is unioned (the "tag, union, partition" join plan);
+    3. one ``map_groups`` over the ``__bucket`` column gathers each bucket;
+    4. ``per_bucket`` gets the bucket without ``__bucket``, as a
+       ``batch_format`` batch ("pyarrow" or "pandas").
+
+    The bucket count is :data:`NUM_BUCKETS`, read here in the driver and
+    captured by the tag closure (a worker importing the module would not
+    see a value set in the driver, e.g. a test's monkeypatch).
+    """
+    from ray.data.block import BlockAccessor
+
+    num_buckets = NUM_BUCKETS
+
+    def tag(t: pa.Table) -> pa.Table:
+        return bucket_by(_canonical_floats(t, keys), keys, num_buckets, spread_nulls)
+
+    if isinstance(inputs, Dataset):
+        inputs = [inputs]
+    tagged = [ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+              for ds in inputs]
+    ds = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def run(g: pa.Table):
+        g = g.drop_columns(["__bucket"])
+        if batch_format != "pyarrow":
+            g = BlockAccessor.for_block(g).to_batch_format(batch_format)
+        return per_bucket(g)
+
+    run.__name__ = getattr(per_bucket, "__name__", "per_bucket")
+    return ds.groupby("__bucket").map_groups(run, batch_format="pyarrow")
 
 
 def _agg_select(g: pa.Table, cols: list[str], agg_names: list[str],
@@ -159,29 +223,24 @@ def strip_schema_metadata(ds: Dataset) -> Dataset:
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
-def grouped_count(ds: Dataset, cols: list[str], alias: str = "count",
-                  num_buckets: int = 64) -> Dataset:
-    """Exact ``groupby(cols).count()`` with combiner + bucketed merge."""
+def grouped_count(ds: Dataset, cols: list[str], alias: str = "count") -> Dataset:
+    """Exact ``groupby(cols).count()`` (SQL ``count(*)``, null keys
+    included) with combiner + bucketed merge."""
 
     def preagg(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(cols).aggregate([(cols[0], "count")])
-        g = _agg_select(g, cols, [f"{cols[0]}_count"], [alias])
-        return _bucket_col(g, cols, num_buckets)
+        g = batch.group_by(cols).aggregate([([], "count_all")])
+        return _agg_select(g, cols, ["count_all"], [alias])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         out = g.group_by(cols).aggregate([(alias, "sum")])
         return _agg_select(out, cols, [f"{alias}_sum"], [alias])
 
-    return (
-        ds.map_batches(preagg, batch_format="pyarrow", batch_size=None)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(preagg, batch_format="pyarrow", batch_size=None),
+                    cols, per_bucket)
 
 
 def grouped_count_distinct(ds: Dataset, group_cols: list[str], value_col: str,
-                           alias: str = "n_distinct",
-                           num_buckets: int = 64) -> Dataset:
+                           alias: str = "n_distinct") -> Dataset:
     """Exact ``groupby(group_cols).count(DISTINCT value_col)``.
 
     Two bucketed combiner shuffles — the same shape ANSI SQL implies
@@ -198,47 +257,43 @@ def grouped_count_distinct(ds: Dataset, group_cols: list[str], value_col: str,
     """
     distinct_pairs = grouped_count(
         ds.select_columns([*group_cols, value_col]),
-        [*group_cols, value_col], alias="__dup", num_buckets=num_buckets,
+        [*group_cols, value_col], alias="__dup",
     )
-    return grouped_count(distinct_pairs, group_cols, alias=alias,
-                         num_buckets=num_buckets)
+    return grouped_count(distinct_pairs, group_cols, alias=alias)
 
 
-def grouped_agg(ds: Dataset, cols: list[str], agg_spec: dict[str, tuple[str, str]],
-                num_buckets: int = 64, pre_aggregated: bool = False) -> Dataset:
+def grouped_agg(ds: Dataset | list[Dataset], cols: list[str],
+                agg_spec: dict[str, tuple[str, str]],
+                pre_aggregated: bool = False) -> Dataset:
     """Exact grouped aggregation via the same bucket pattern.
 
+    ``ds`` may be a list of Datasets with one schema, aggregated as their
+    union (the exchange unions them after each one's combiner).
     ``agg_spec``: output_col -> (source_col, how); ``how`` must be
     decomposable (min / max / sum). ``pre_aggregated=True`` skips the
     combiner when the input already holds one partial row per (batch, key).
     """
     outs = list(agg_spec)
 
-    def combine(batch: pa.Table, src: bool) -> pa.Table:
-        aggs = [((s if src else o), h) for o, (s, h) in agg_spec.items()]
-        g = batch.group_by(cols).aggregate(aggs)
-        return _agg_select(g, cols, [f"{c}_{h}" for c, h in aggs], outs)
-
     def preagg(batch: pa.Table) -> pa.Table:
-        return _bucket_col(combine(batch, src=True), cols, num_buckets)
+        aggs = [(s, h) for s, h in agg_spec.values()]
+        g = batch.group_by(cols).aggregate(aggs)
+        return _agg_select(g, cols, [f"{s}_{h}" for s, h in aggs], outs)
 
-    def bucketize_only(batch: pa.Table) -> pa.Table:
+    def rename_only(batch: pa.Table) -> pa.Table:
         # input columns carry source names; rename to output names first
-        cols_order = [*cols, *[s for _, (s, _h) in agg_spec.items()]]
-        t = batch.select(cols_order).rename_columns([*cols, *outs])
-        return _bucket_col(t, cols, num_buckets)
+        srcs = [s for s, _h in agg_spec.values()]
+        return batch.select([*cols, *srcs]).rename_columns([*cols, *outs])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         aggs = [(o, h) for o, (_s, h) in agg_spec.items()]
         out = g.select([*cols, *outs]).group_by(cols).aggregate(aggs)
         return _agg_select(out, cols, [f"{o}_{h}" for o, h in aggs], outs)
 
-    first = bucketize_only if pre_aggregated else preagg
     # batch_size=None -> whole blocks: the combiner's reduction ratio (and
     # therefore the shuffle volume) scales with batch size, and the Arrow
     # C++ hash aggregation is cheapest amortized over large batches
-    return (
-        ds.map_batches(first, batch_format="pyarrow", batch_size=None)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    first = rename_only if pre_aggregated else preagg
+    inputs = [ds] if isinstance(ds, Dataset) else ds
+    return exchange([d.map_batches(first, batch_format="pyarrow", batch_size=None)
+                     for d in inputs], cols, per_bucket)

@@ -125,21 +125,17 @@ def brute_force_topk(
     return _topk_reduce(partials, k, exclude_self=exclude_self)
 
 
-def _topk_reduce(partials: Dataset, k: int, exclude_self: bool = True,
-                 num_buckets: int = 64) -> Dataset:
+def _topk_reduce(partials: Dataset, k: int, exclude_self: bool = True) -> Dataset:
     """Shared per-query final reduce over (query_id, vec_id, sim) partials:
     top-k by (sim desc, vec_id asc), optionally dropping the self-hit.
 
-    Queries route by ``hash(query_id) % num_buckets`` and ONE vectorized
+    Queries route by ``hash(query_id) % buckets`` and ONE vectorized
     pandas pass per bucket (sort + ``groupby.head(k)``) finishes every
     query it holds — never one Python call per query id, so the reduce
     stays flat when a caller broadcasts millions of query vectors."""
     import pandas as pd
 
-    from .shuffle import bucket_by
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, ["query_id"], num_buckets)
+    from .shuffle import exchange
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if exclude_self:
@@ -148,11 +144,7 @@ def _topk_reduce(partials: Dataset, k: int, exclude_self: bool = True,
                             ascending=[True, False, True], kind="stable")
         return df.groupby("query_id", sort=False).head(k)[["query_id", "vec_id"]]
 
-    return (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(partials, ["query_id"], per_bucket, batch_format="pandas")
 
 
 def make_query_ref(vectors: Dataset, query_ids: list[int],

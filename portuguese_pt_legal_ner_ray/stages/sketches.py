@@ -192,7 +192,7 @@ def histogram_quantiles(ds: Dataset, col: str, qs: list[float]) -> "pd.DataFrame
 
 
 def grouped_quantiles(ds: Dataset, group_cols: list[str], value_col: str,
-                      qs: list[float], num_buckets: int = 64) -> Dataset:
+                      qs: list[float]) -> Dataset:
     """Exact discrete quantiles PER GROUP (DuckDB ``quantile_disc`` rule:
     value at 1-indexed rank ``max(1, ceil(q*n))`` of the group's sorted
     column).
@@ -210,11 +210,10 @@ def grouped_quantiles(ds: Dataset, group_cols: list[str], value_col: str,
 
     import pandas as pd
 
-    from .shuffle import bucket_by, grouped_count
+    from .shuffle import exchange, grouped_count
 
     hist = grouped_count(ds.select_columns([*group_cols, value_col]),
-                         [*group_cols, value_col], alias="__n",
-                         num_buckets=num_buckets)
+                         [*group_cols, value_col], alias="__n")
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([*group_cols, value_col])
@@ -230,12 +229,7 @@ def grouped_quantiles(ds: Dataset, group_cols: list[str], value_col: str,
                 rows.append((*gkey, float(q), float(grp[value_col].iloc[idx])))
         return pd.DataFrame(rows, columns=[*group_cols, "q", "value"])
 
-    return (
-        hist.map_batches(lambda t: bucket_by(t, group_cols),
-                         batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(hist, group_cols, per_bucket, batch_format="pandas")
 
 
 def binned_quantiles(ds: Dataset, col: str, qs: list[float],

@@ -159,7 +159,7 @@ def simhash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def top_terms_per_doc(docs, k: int = 3, text_col: str = "text",
-                      id_col: str = "doc_id", num_buckets: int = 64):
+                      id_col: str = "doc_id"):
     """Per-document top-``k`` characteristic terms — the tf-idf shape with
     an integer-exact ranking: terms ordered by (term frequency DESC,
     document frequency ASC, term ASC), so frequent-in-this-doc but
@@ -183,7 +183,7 @@ def top_terms_per_doc(docs, k: int = 3, text_col: str = "text",
     import pandas as pd
 
     from .joins import hash_join
-    from .shuffle import bucket_by, grouped_count
+    from .shuffle import exchange, grouped_count
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -195,10 +195,9 @@ def top_terms_per_doc(docs, k: int = 3, text_col: str = "text",
 
     tf = grouped_count(docs.select_columns([id_col, text_col])
                        .map_batches(explode, batch_format="pyarrow"),
-                       [id_col, "term"], alias="tf", num_buckets=num_buckets)
-    df = grouped_count(tf.select_columns(["term"]), ["term"], alias="df",
-                       num_buckets=num_buckets)
-    joined = hash_join(tf, df, key="term", num_buckets=num_buckets)
+                       [id_col, "term"], alias="tf")
+    df = grouped_count(tf.select_columns(["term"]), ["term"], alias="df")
+    joined = hash_join(tf, df, key="term")
 
     sort_cols = [id_col, "tf", "df", "term"]
     ascending = [True, False, True, True]
@@ -207,9 +206,5 @@ def top_terms_per_doc(docs, k: int = 3, text_col: str = "text",
         g = g.sort_values(sort_cols, ascending=ascending, kind="stable")
         return g.groupby(id_col, sort=False).head(k)[[id_col, "term", "tf", "df"]]
 
-    return (
-        joined.map_batches(head_k, batch_format="pandas")  # combiner
-        .map_batches(lambda t: bucket_by(t, [id_col]), batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(head_k, batch_format="pandas")
-    )
+    return exchange(joined.map_batches(head_k, batch_format="pandas"),  # combiner
+                    [id_col], head_k, batch_format="pandas")

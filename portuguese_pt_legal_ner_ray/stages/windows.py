@@ -9,15 +9,15 @@ operators a training-data pipeline needs, expressed as Dataset compositions:
   so results are identical at any parallelism, and each merge is one Arrow
   ``group_by`` rather than Ray's native aggregate, which took 3-4 s on one
   block of 100k events where this takes 0.3 s (BASELINE.md).
-* ``sessionize`` — gap-based sessions per user: ``groupby(user_id)`` then a
-  per-group sorted cumulative-gap scan (pandas, per group — groups are small;
-  the shuffle is the user_id hash partition).
+* ``sessionize``, ``asof_last_event``, ``cumulative_window``,
+  ``lag_window`` — per-user ordered scans: one ``shuffle.exchange`` on the
+  partition key, then one sort and vectorized scans per bucket. Partitions
+  follow SQL ``PARTITION BY`` (a null key is one partition).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -93,49 +93,61 @@ def sliding_window(events: Dataset, size_minutes: int = 60,
     return out.map_batches(recast, batch_format="pyarrow")
 
 
+def _partitions(g: pa.Table, key_col: str, order_cols) -> tuple[pa.Table, np.ndarray]:
+    """A bucket in SQL ``PARTITION BY key_col ORDER BY order_cols`` order,
+    with each row's partition-start row index.
+
+    Partitions are Arrow dictionary codes of the key, so a null key is one
+    partition of its own (SQL), NaN is apart from null, and int64 keys
+    above 2^53 stay distinct. A pandas ``groupby`` on the key column drops
+    null keys by default, merges NaN with null, and turns a nullable int64
+    key into float64, merging 2^53 with 2^53 + 1."""
+    part = pc.dictionary_encode(g[key_col].combine_chunks(),
+                                null_encoding="encode").indices
+    g = g.append_column("__part", part).sort_by(
+        [("__part", "ascending"), *((c, "ascending") for c in order_cols)])
+    p = g["__part"].to_numpy()
+    rows = np.arange(len(p))
+    new = np.ones(len(p), dtype=bool)
+    new[1:] = p[1:] != p[:-1]
+    return g.drop_columns(["__part"]), np.maximum.accumulate(np.where(new, rows, 0))
+
+
 def sessionize(events: Dataset, gap_minutes: int = 30) -> Dataset:
     """Gap-based sessions: (user_id, session_idx, n_events, session_start,
     session_end). A new session starts when the time since the previous
     event of the same user exceeds ``gap_minutes``.
 
     The shuffle routes users by ``hash(user_id) % buckets`` and each bucket
-    sessionizes ALL its users with vectorized pandas (one sort + per-user
-    diff + cumsum + one grouped agg) — one UDF call per bucket, never one
-    per user (a per-user ``map_groups`` costs a Python call per user id,
-    ruinous at web-scale user counts).
+    sessionizes ALL its users with one sort and vectorized numpy scans —
+    one UDF call per bucket, never one per user (a per-user ``map_groups``
+    costs a Python call per user id, ruinous at web-scale user counts).
     """
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
-    gap = pd.Timedelta(minutes=gap_minutes)
+    gap = np.timedelta64(gap_minutes, "m")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, ["user_id"])
+    def per_bucket(g: pa.Table) -> pa.Table:
+        g, start = _partitions(g, "user_id", ["ts", "event_id"])
+        rows = np.arange(len(g))
+        first = start == rows
+        new_sess = first.copy()
+        new_sess[1:] |= np.diff(g["ts"].to_numpy()) > gap
+        heads = np.flatnonzero(new_sess)
+        ends = np.append(heads[1:], len(g)) - 1
+        # session_idx restarts per user: sessions minus the user's first
+        sess = np.arange(len(heads))
+        user_first = np.maximum.accumulate(np.where(first[heads], sess, 0))
+        return pa.table({
+            "user_id": g["user_id"].take(heads),
+            "session_idx": pa.array(sess - user_first, pa.int64()),
+            "n_events": pa.array(ends - heads + 1, pa.int64()),
+            "session_start": g["ts"].take(heads),
+            "session_end": g["ts"].take(ends),
+        })
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        new_user = g["user_id"].ne(g["user_id"].shift())
-        new_sess = (g["ts"].diff() > gap) | new_user
-        sess_id = new_sess.cumsum()  # strictly increasing across users
-        out = (
-            g.groupby(sess_id, sort=False)
-            .agg(
-                user_id=("user_id", "first"),
-                n_events=("event_id", "size"),
-                session_start=("ts", "min"),
-                session_end=("ts", "max"),
-            )
-            .reset_index(drop=True)
-        )
-        # session_idx restarts per user; groups are already in time order
-        out["session_idx"] = out.groupby("user_id", sort=False).cumcount()
-        return out[["user_id", "session_idx", "n_events", "session_start", "session_end"]]
-
-    return (
-        events.select_columns(["user_id", "event_id", "ts"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(events.select_columns(["user_id", "event_id", "ts"]),
+                    ["user_id"], per_bucket)
 
 
 def asof_last_event(events: Dataset, match_type: str = "click",
@@ -145,34 +157,27 @@ def asof_last_event(events: Dataset, match_type: str = "click",
     timestamp -> (event_id, user_id, ts, asof_ts nullable).
 
     Ray Data has no native as-of join; the composition is the partitioned
-    sorted-merge pattern: route users by hash (same bucketing as
-    ``sessionize``), sort each bucket once by (user, ts, event_id), compute
-    the running last-``of_type`` timestamp with a vectorized forward fill,
+    sorted-merge pattern: route users by hash (same exchange as
+    ``sessionize``), sort each bucket once by (user, ts, event_id), carry
+    the last ``of_type`` row forward with a running max of row indices,
     and emit the ``match_type`` rows. One UDF call per bucket; the
     partitioning assumption is one user's events fit a worker (salt users
     if a single user's history outgrows that).
     """
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, ["user_id"])
+    def per_bucket(g: pa.Table) -> pa.Table:
+        g, start = _partitions(g, "user_id", ["ts", "event_id"])
+        kind = g["event_type"]
+        is_of = np.asarray(pc.fill_null(pc.equal(kind, of_type), False))
+        last = np.maximum.accumulate(np.where(is_of, np.arange(len(g)), -1))
+        match = pc.fill_null(pc.equal(kind, match_type), False)
+        asof = g["ts"].take(pa.array(last, mask=last < start))
+        return (g.select(["event_id", "user_id", "ts"])
+                .append_column("asof_ts", asof).filter(match))
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        of_ts = g["ts"].where(g["event_type"] == of_type)
-        # forward-fill within each user: the as-of candidate timestamp
-        asof = of_ts.groupby(g["user_id"], sort=False).ffill()
-        out = g.loc[g["event_type"] == match_type,
-                    ["event_id", "user_id", "ts"]].copy()
-        out["asof_ts"] = asof[g["event_type"] == match_type]
-        return out
-
-    return (
-        events.select_columns(["event_id", "user_id", "ts", "event_type"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(events.select_columns(["event_id", "user_id", "ts", "event_type"]),
+                    ["user_id"], per_bucket)
 
 
 def cumulative_window(events: Dataset, key_col: str = "user_id",
@@ -185,30 +190,22 @@ def cumulative_window(events: Dataset, key_col: str = "user_id",
 
     Same exchange as :func:`sessionize`: keys route by
     ``hash(key) % buckets`` so each key's full history co-locates, then one
-    vectorized pandas UDF per bucket (sort + per-key ``cumsum``) computes
+    vectorized UDF per bucket (sort + per-partition ``cumsum``) computes
     every key it holds — never one task per key. The tie-break column in
     ``order_cols`` makes the prefix order (and therefore every running
     value) deterministic at any parallelism. Output: one row per input
     event with the running aggregate attached.
     """
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
     cols = [key_col, *order_cols, value_col]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, [key_col])
+    def per_bucket(g: pa.Table) -> pa.Table:
+        g, start = _partitions(g, key_col, order_cols)
+        run = g[value_col].to_pandas().groupby(start, sort=False).cumsum()
+        return g.append_column(alias, pa.array(run))
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, *order_cols], kind="stable")
-        g[alias] = g.groupby(key_col, sort=False)[value_col].cumsum()
-        return g[[*cols, alias]]
-
-    return (
-        events.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(events.select_columns(cols), [key_col], per_bucket)
 
 
 def lag_window(events: Dataset, key_col: str = "user_id",
@@ -221,25 +218,17 @@ def lag_window(events: Dataset, key_col: str = "user_id",
 
     Same exchange as :func:`cumulative_window`: keys route by
     ``hash(key) % buckets`` so each key's full history co-locates, then one
-    vectorized pandas UDF per bucket (sort + per-key ``shift``) serves
+    vectorized UDF per bucket (sort + per-partition ``shift``) serves
     every key it holds — never one task per key. Deterministic at any
     parallelism via the tie-break column in ``order_cols``.
     """
-    from .shuffle import bucket_by
+    from .shuffle import exchange
 
     cols = [key_col, *order_cols, value_col]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bucket_by(t, [key_col])
+    def per_bucket(g: pa.Table) -> pa.Table:
+        g, start = _partitions(g, key_col, order_cols)
+        lag = g[value_col].to_pandas().groupby(start, sort=False).shift(offset)
+        return g.append_column(alias, pa.array(lag))
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, *order_cols], kind="stable")
-        g[alias] = g.groupby(key_col, sort=False)[value_col].shift(offset)
-        return g[[*cols, alias]]
-
-    return (
-        events.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(events.select_columns(cols), [key_col], per_bucket)

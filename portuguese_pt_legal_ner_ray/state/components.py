@@ -96,13 +96,8 @@ def connected_components_distributed(
             batch_format="pyarrow",
         )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from ..stages.shuffle import bucket_by
-
-        return bucket_by(t, ["node"])
-
     last_crc = _checksum(comp)
-    from ..stages.shuffle import grouped_agg
+    from ..stages.shuffle import exchange, grouped_agg
 
     # a sort-based groupby emits as many blocks as its input has, so each
     # round's output would carry the edge blocks on into the next round's
@@ -111,12 +106,7 @@ def connected_components_distributed(
     # keeps the rounds the same size
     n_blocks = comp.num_blocks()
     for _ in range(max_iters):
-        msgs = (
-            comp.union(edges)
-            .map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(_emit_bucket, batch_format="pandas")
-        )
+        msgs = exchange([comp, edges], ["node"], _emit_bucket, batch_format="pandas")
         new_comp = (
             grouped_agg(msgs, ["node"], {"comp": ("comp", "min")})
             .map_batches(

@@ -697,7 +697,7 @@ def test_hash_semi_join_matches_pandas(ray_session):
     assert len(semi) + len(anti) == len(left)
 
 
-def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session):
+def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session, monkeypatch):
     """All four bucketed joins == DuckDB on the edge cases the pandas
     references cannot judge (pandas merge itself matches null keys):
     composite string keys CONTAINING the key-join separator '\x1f' (two
@@ -709,6 +709,7 @@ def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session):
     import pyarrow as pa
     import ray
 
+    from portuguese_pt_legal_ner_ray.stages import shuffle
     from portuguese_pt_legal_ner_ray.stages.joins import (
         hash_anti_join,
         hash_join,
@@ -750,9 +751,10 @@ def test_bucketed_joins_match_duckdb_nulls_separator_bigint(ray_session):
         want = rows(con.sql(sql[name]).arrow())
         cols = ["k1", "k2", "p", "v"] + (["w"] if name in ("inner", "left") else [])
         for nb in (1, 64):  # 1 bucket: nulls and 2^60 payloads co-locate
+            monkeypatch.setattr(shuffle, "NUM_BUCKETS", nb)
             out = fn(ray.data.from_arrow(left).repartition(3),
                      ray.data.from_arrow(right).repartition(2),
-                     key=["k1", "k2"], num_buckets=nb)
+                     key=["k1", "k2"])
             got = pa.concat_tables(
                 [t.select(cols) for t in out.iter_batches(batch_format="pyarrow")])
             assert rows(got) == want, (name, nb)
@@ -774,9 +776,11 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     import ray
     from ray.data import Dataset
 
+    from portuguese_pt_legal_ner_ray.stages import shuffle
     from portuguese_pt_legal_ner_ray.stages.joins import hash_join, hash_left_join
 
     n, nb = 4000, 64
+    monkeypatch.setattr(shuffle, "NUM_BUCKETS", nb)
     left = pa.table({"k": [None if i % 2 else f"k{i}" for i in range(n)],
                      "p": pa.array(range(n), pa.int64())})
     right = pa.table({"k": [None if i % 2 else f"k{2 * i}" for i in range(n // 2)],
@@ -793,8 +797,7 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     def run(join):
         exchanged.clear()
         out = join(ray.data.from_arrow(left).repartition(4),
-                   ray.data.from_arrow(right).repartition(2), key="k",
-                   num_buckets=nb)
+                   ray.data.from_arrow(right).repartition(2), key="k")
         got = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
         assert len(exchanged) == 1
         tagged = pa.concat_tables(exchanged[0].iter_batches(batch_format="pyarrow"))
