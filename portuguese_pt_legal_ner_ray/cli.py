@@ -72,9 +72,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for rec in Manifest(args.out_dir).all_records():
         line = {k: rec[k] for k in ("stage", "partition", "engine_version")}
         line.update({k: v for k, v in rec.items()
-                     if k in ("pages", "paragraphs", "link_keys", "nodes",
-                              "edges", "triples", "errors", "link_path",
-                              "phases", "wall_s")})
+                     if k in ("pages", "paragraphs", "link_keys", "link_pairs",
+                              "nodes", "edges", "triples", "errors",
+                              "link_path", "phases", "wall_s")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):
         # reference src/tracking.py:253-272 parity: confusion matrix saved

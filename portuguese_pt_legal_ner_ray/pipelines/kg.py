@@ -62,8 +62,7 @@ from ..stages.extract import (
     flatten_triples,
     ner_triples_task,
 )
-from ..stages.graph import build_edges, build_nodes, make_apply_comp, nodes_from_comp
-from ..stages.shuffle import grouped_agg
+from ..stages.graph import build_edges, make_apply_comp, nodes_from_comp
 from ..state.manifest import Manifest, parquet_row_count
 
 
@@ -224,21 +223,21 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     return _partition_row(files, out_dir, part, input_sig)
 
 
-def graph_stage(out_dir: Path, cfg: PipelineConfig,
-                force_distributed_cc: bool = False) -> dict:
+def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     """The wide section: extraction → mention partials → linking → nodes/edges.
 
     ``extraction/`` is the one table read; the mention partials are pinned
-    once and feed both linking and nodes. Linking runs in the driver over
-    the linkable slice (``linking.link_driver``); above
-    ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows, or with
-    ``force_distributed_cc``, it runs as Ray tasks (``BandStage`` →
-    ``candidate_pairs`` → distributed CC). ``graph/{spans,triples,errors}``
-    are written straight from ``extraction/`` and never read back. The five
-    table writes run at the same time (``_run_writes``).
+    once and feed both linking and nodes. ``linking.link`` turns them into
+    one non-identity key -> component map (banding in the driver, or as Ray
+    tasks above ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows;
+    union-find in the driver either way), broadcast once to the nodes and
+    edges tasks. ``graph/{spans,triples,errors}`` are written straight from
+    ``extraction/`` and never read back. The five table writes run at the
+    same time (``_run_writes``).
     Returns the graph manifest row: row counts, ``link_path``, the number
-    of keys linking ran over, and per-phase wall seconds: ``link``, each
-    table's write job, and ``writes`` for the whole block of writes.
+    of keys and verified pairs linking ran over, and per-phase wall
+    seconds: ``link``, each table's write job, and ``writes`` for the whole
+    block of writes.
     """
     graph = out_dir / "graph"
     if graph.exists():
@@ -252,38 +251,13 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig,
     triples = extraction.map_batches(flatten_triples, batch_format="pyarrow")
     partials = spans.map_batches(linking.mention_partial_task,
                                  batch_format="pyarrow").materialize()
-    driver = not force_distributed_cc
-    if driver:
-        # the partial-row count bounds the distinct linkable keys, so the
-        # collect below cannot OOM the driver at web-scale surface counts
-        linkable = partials.map_batches(linking.linkable_rows,
-                                        batch_format="pyarrow").materialize()
-        driver = linkable.count() <= linking.DRIVER_CC_MAX_KEYS
-    if driver:
-        keys = sorted({k for block in ray.get(linkable.to_arrow_refs())
-                       for k in block["key"].to_pylist()})
-        # broadcast only non-identity entries: dicts are not zero-copy in
-        # the object store; lookups default to identity
-        mapping_ref = ray.put(linking.link_driver(keys, cfg.linking))
-        n_keys = len(keys)
-        phases["link"] = time.perf_counter() - t0
-        nodes = nodes_from_comp(
-            partials.map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
-        edge_args = dict(mapping_ref=mapping_ref)
-    else:
-        mentions = grouped_agg(
-            partials, ["key"],
-            {"label": ("label", "min"), "surface": ("surface", "min"),
-             "n": ("n", "sum")},
-        ).materialize()  # one row per distinct key — small vs the corpus
-        bands = mentions.map_batches(linking.BandStage(cfg.linking),
-                                     batch_format="pyarrow")
-        comp_ds = linking.canonicalize(
-            mentions, linking.candidate_pairs(bands, cfg.linking)).materialize()
-        n_keys = mentions.count()
-        phases["link"] = time.perf_counter() - t0
-        nodes = build_nodes(mentions, comp_ds)
-        edge_args = dict(comp_ds=comp_ds)
+    mapping, link_stats = linking.link(partials, cfg.linking)
+    # broadcast only non-identity entries: dicts are not zero-copy in the
+    # object store; lookups default to identity
+    mapping_ref = ray.put(mapping)
+    phases["link"] = time.perf_counter() - t0
+    nodes = nodes_from_comp(
+        partials.map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
     # poison-pill quarantine: rows whose tagging failed carry an error
     # string (never silently dropped entities — SURVEY.md §4); surfaced as
     # an errors table with url lineage for reprocessing
@@ -291,7 +265,7 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig,
         lambda t: t.filter(pc.is_valid(t["error"])).select(["url", "para_idx", "error"]),
         batch_format="pyarrow",
     )
-    tables = {"nodes": nodes, "edges": build_edges(triples, **edge_args),
+    tables = {"nodes": nodes, "edges": build_edges(triples, mapping_ref),
               "spans": spans, "triples": triples, "errors": errors}
     t = time.perf_counter()
     timings = _run_writes([(ds, graph / name) for name, ds in tables.items()])
@@ -299,8 +273,7 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig,
         phases[name] = end - start
     phases["writes"] = time.perf_counter() - t
     return {
-        "link_path": "driver" if driver else "distributed",
-        "link_keys": n_keys,
+        **link_stats,
         "phases": {k: round(v, 3) for k, v in phases.items()},
         **{name: parquet_row_count(graph / name)
            for name in ("nodes", "edges", "triples", "errors")},
@@ -312,7 +285,6 @@ def run_kg_pipeline(
     out_dir: str | Path,
     cfg: PipelineConfig | None = None,
     num_partitions: int = 8,
-    force_distributed_cc: bool = False,
     fail_after_partitions: int | None = None,
 ) -> Manifest:
     """Full pipeline with per-partition checkpoint/resume.
@@ -331,6 +303,11 @@ def run_kg_pipeline(
     partition runs at a time, so the cap holds for the whole run. Each
     partition's manifest row is written in plan order once both of its jobs
     finished, with its wall seconds (``wall_s``) outside the fingerprint.
+
+    The graph row's link counters (``link_path``, ``link_keys``,
+    ``link_pairs``) and per-phase ``phases`` sit next to ``plan_fp``,
+    outside it. Tests force task-side banding by monkeypatching
+    ``linking.DRIVER_CC_MAX_KEYS``.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —
     used by the kill-and-resume test only.
@@ -408,7 +385,7 @@ def run_kg_pipeline(
     extract_s = time.perf_counter() - t_extract
     grec = manifest.read("graph", "all")
     if ran_any or grec is None or grec.get("plan_fp") != plan_fp:
-        meta = graph_stage(out_dir, cfg, force_distributed_cc)
+        meta = graph_stage(out_dir, cfg)
         # per-phase wall seconds sit next to plan_fp, outside it: resume
         # compares only the fingerprint
         meta["phases"] = {"extract": round(extract_s, 3), **meta["phases"]}

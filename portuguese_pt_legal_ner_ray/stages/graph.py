@@ -7,9 +7,9 @@ edges = exact-dedup of canonicalized triples with count as weight:
 ``(subj_id, pred, obj_id, weight)`` — the groupby([subj,pred,obj]).count()
 pattern from SURVEY.md §2.5.
 
-Canonical-id application is a broadcast small-side lookup (``ray.put`` once,
-dict read once per task) by default, or two partitioned hash_joins when the
-mapping outgrows the driver (stages/joins.py).
+Canonical-id application is a broadcast small-side lookup: the non-identity
+key -> component map from ``linking.link`` is ``ray.put`` once and read once
+per worker-side closure; keys missing from it are their own component.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..functions.normalize import entity_key
-from .joins import hash_join
 from .shuffle import grouped_agg, grouped_count
-
-
-def build_nodes(mentions_ds: Dataset, comp_ds: Dataset) -> Dataset:
-    """(key,label,surface,n) ⋈ (key,comp) -> canonical node rows."""
-    return nodes_from_comp(hash_join(mentions_ds, comp_ds, key="key"))
 
 
 def nodes_from_comp(ds: Dataset) -> Dataset:
@@ -81,15 +75,6 @@ def make_apply_comp(mapping_ref):
     return apply_comp
 
 
-def _add_entity_keys(batch: pa.Table) -> pa.Table:
-    """Triple rows + (subj_key, obj_key): the entity key of each end."""
-    for end in ("subj", "obj"):
-        joined = pc.binary_join_element_wise(batch[f"{end}_label"], batch[end], "\x00")
-        batch = batch.append_column(f"{end}_key", _remap(
-            joined, lambda j: entity_key(*j.split("\x00", 1))))
-    return batch
-
-
 def make_canonize(mapping_ref):
     """Task fn: (subj, pred, obj, labels) -> (subj_id, pred, obj_id).
 
@@ -134,19 +119,8 @@ def make_canonize(mapping_ref):
     return canonize
 
 
-def build_edges(triples_ds: Dataset, mapping_ref=None, comp_ds: Dataset | None = None) -> Dataset:
-    """Canonicalized, weighted edge table from flat triple rows.
-
-    ``mapping_ref``: ObjectRef to the key->comp dict (broadcast path);
-    ``comp_ds``: (key, comp) Dataset (distributed path). Exactly one given.
-    """
-    if mapping_ref is not None:
-        keyed = triples_ds.map_batches(make_canonize(mapping_ref), batch_format="pyarrow")
-    else:
-        keyed = triples_ds.map_batches(_add_entity_keys, batch_format="pyarrow")
-        for end in ("subj", "obj"):
-            ids = comp_ds.map_batches(
-                lambda t, e=end: pa.table({f"{e}_key": t["key"], f"{e}_id": t["comp"]}),
-                batch_format="pyarrow")
-            keyed = hash_join(keyed, ids, key=f"{end}_key")
+def build_edges(triples_ds: Dataset, mapping_ref) -> Dataset:
+    """Canonicalized, weighted edge table from flat triple rows;
+    ``mapping_ref``: ObjectRef to the non-identity key -> comp dict."""
+    keyed = triples_ds.map_batches(make_canonize(mapping_ref), batch_format="pyarrow")
     return grouped_count(keyed, ["subj_id", "pred", "obj_id"], alias="weight")

@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray.data.dataset import MaterializedDataset
 
 from .shuffle import exchange
 
@@ -145,10 +146,27 @@ def _key_list(key) -> list[str]:
 
 def _fields(ds) -> dict[str, pa.DataType]:
     """Column name -> Arrow type of a Dataset (pandas-block schemas report
-    numpy dtypes; object dtype is taken as string payload)."""
-    sch = ds.schema()
+    numpy dtypes; object dtype is taken as string payload).
+
+    On Ray 2.49 ``select_columns`` leaves a block with no rows unprojected,
+    and ``Dataset.schema()`` reports such a block's columns when it comes
+    first, naming columns no row has. So unless the plan knows its schema
+    without running (a read), the fields come from the first block that
+    holds rows, by the same one-row execution ``schema()`` runs."""
+    sch = (None if isinstance(ds, MaterializedDataset)
+           else ds.schema(fetch_if_missing=False))
+    if sch is None:
+        refs = [ref for bundle in ds.limit(1).iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks if meta.num_rows]
+        sch = ray.get(refs[0]) if refs else ds.schema()
+        if isinstance(sch, pa.Table):
+            sch = sch.schema
+    if isinstance(sch, pd.DataFrame):  # a pandas block
+        names, types = list(sch.columns), list(sch.dtypes)
+    else:
+        names, types = sch.names, sch.types
     out = {}
-    for n, t in zip(sch.names, sch.types):
+    for n, t in zip(names, types):
         if not isinstance(t, pa.DataType):
             try:
                 t = pa.from_numpy_dtype(np.dtype(t))

@@ -9,14 +9,15 @@ SURVEY.md §7 step 6, target-spec mandated (no counterpart in the reference):
    pairs (functions/blocking.py — a pure function of the member set, so
    results are parallelism-independent);
 4. Jaccard verification of each distinct candidate pair;
-5. connected components.
+5. union-find in the driver over the verified pairs' endpoints.
 
-Steps 2-5 run one of two ways over the same kernels. ``link_driver`` runs
-them in the driver over the distinct linkable keys — the normal case even
-at corpus scale, since distinct surfaces ≪ mentions. Above
-``DRIVER_CC_MAX_KEYS`` the pipeline runs them as Ray tasks instead:
-``BandStage`` → ``candidate_pairs`` → ``canonicalize`` (min-label
-propagation, ``state/components.py``).
+``link`` is the one entry point and there is one path: steps 2-4 yield the
+verified same-as pairs, only those come to the driver, and step 5 turns
+them into one non-identity key -> component map. Only where steps 2-4 run
+depends on size: in the driver over the distinct linkable keys up to
+``DRIVER_CC_MAX_KEYS`` linkable partial rows, and as Ray tasks above it
+(``band_task`` → ``candidate_pairs``) — banding is the step that needs
+bounded memory, not the union-find.
 
 Component id = lexicographic-min member key — order-free determinism
 (SURVEY.md §4: never "first wins").
@@ -26,20 +27,21 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data import Dataset
 
 from ..config import LINK_LABELS, LinkingConfig
 from ..functions.blocking import pairs_for_block
 from ..functions.minhash import MinHasher, jaccard, shingles
 from ..functions.normalize import entity_key
-from .shuffle import worker_cached
+from .shuffle import exchange, grouped_agg, grouped_count, worker_cached
 
 # Above this many linkable partial rows (an upper bound on distinct linkable
-# keys), linking and canonical-id application switch to the distributed path
-# (label propagation + hash_join). The distinct-entity graph at web scale is
-# orders of magnitude smaller than the corpus, so the driver path covers
-# realistic runs; the distributed path is exercised by tests via a tiny
-# override (read at call time).
+# keys), banding, pairing and verification run as Ray tasks instead of in
+# the driver; union-find stays in the driver either way. Driver banding is
+# single-threaded and the task side measures faster on large key sets
+# (scripts/bench_scale_paths.py --link, BASELINE.md). Read at call time, so
+# tests force the task side with a tiny override.
 DRIVER_CC_MAX_KEYS = 2_000_000
 _LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 
@@ -119,6 +121,14 @@ class BandStage:
         )
 
 
+_TASK_BANDS: dict[LinkingConfig, BandStage] = {}
+
+
+def band_task(batch: pa.Table, cfg: LinkingConfig) -> pa.Table:
+    """Task-mode ``BandStage``: one hasher per worker and config."""
+    return worker_cached(_TASK_BANDS, cfg, lambda: BandStage(cfg))(batch)
+
+
 def block_pairs(bands: pa.Table, cfg: LinkingConfig) -> set[tuple[str, str]]:
     """Band rows (label, band_key, norm) -> the distinct candidate key pairs
     of every (label, band_key) block they hold (``pairs_for_block``)."""
@@ -139,11 +149,9 @@ def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
     UDF call per bucket (``block_pairs`` over the whole bucket), never one
     Ray UDF call per distinct band — at web scale there are ~num_bands ×
     distinct entities bands, and Ray's per-group ``map_groups`` pays
-    per-key task overhead (the trap measured in
-    scripts/bench_scale_paths.py for CC). The pair dedup is the bucketed
+    per-key task overhead. The pair dedup is the bucketed
     ``grouped_count`` for the same reason.
     """
-    from .shuffle import exchange, grouped_count
 
     def bucket_block_pairs(g: pa.Table) -> pa.Table:
         pairs = sorted(block_pairs(g, cfg))
@@ -181,26 +189,43 @@ def connected_components_driver(keys: list[str], pairs: list[tuple[str, str]]) -
     return {k: uf.find(k) for k in keys}
 
 
-def link_driver(keys: list[str], cfg: LinkingConfig) -> dict[str, str]:
-    """Distinct linkable keys -> non-identity key -> component map, in the
-    driver: ``BandStage`` → ``block_pairs`` → verify →
-    ``connected_components_driver``. Keys missing from the map are their
-    own component."""
+def _driver_pairs(keys: list[str], cfg: LinkingConfig) -> list[tuple[str, str]]:
+    """Distinct linkable keys -> verified pairs, in the driver:
+    ``BandStage`` → ``block_pairs`` → ``_same_entity``."""
     bands = BandStage(cfg)(pa.table({
         "key": pa.array(keys, pa.string()),
         "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
     }))
-    verified = [(a, b) for a, b in block_pairs(bands, cfg) if _same_entity(a, b, cfg)]
-    mapping = connected_components_driver(keys, verified)
-    return {k: c for k, c in mapping.items() if k != c}
+    return [(a, b) for a, b in block_pairs(bands, cfg) if _same_entity(a, b, cfg)]
 
 
-def canonicalize(mentions_ds: Dataset, verified_pairs_ds: Dataset) -> Dataset:
-    """Distributed CC: mentions (key, ...) + verified same-as pairs (a, b)
-    -> rows (key, comp), by min-label propagation over Datasets
-    (state/components.py) with no driver materialization."""
-    from ..state.components import connected_components_distributed
+def _task_pairs(linkable: Dataset, cfg: LinkingConfig) -> tuple[list[tuple[str, str]], int]:
+    """Linkable partial rows -> (verified pairs, distinct key count), with
+    banding, pairing and verification as Ray tasks."""
+    keys = grouped_agg(linkable, ["key"], {"label": ("label", "min")}).materialize()
+    bands = keys.map_batches(band_task, batch_format="pyarrow", fn_kwargs=dict(cfg=cfg))
+    pairs = [p for block in ray.get(candidate_pairs(bands, cfg).to_arrow_refs())
+             for p in zip(block["a"].to_pylist(), block["b"].to_pylist())]
+    return pairs, keys.count()
 
-    return connected_components_distributed(
-        mentions_ds.select_columns(["key"]), verified_pairs_ds
-    )
+
+def link(partials: Dataset, cfg: LinkingConfig) -> tuple[dict[str, str], dict]:
+    """Mention partials -> (non-identity key -> component map, stats).
+
+    Keys missing from the map are their own component. ``stats`` holds
+    ``link_path`` (``"driver"`` or ``"distributed"``: where banding ran),
+    ``link_keys`` (distinct linkable keys) and ``link_pairs`` (the verified
+    pairs union-find ran over; the same count on either side)."""
+    linkable = partials.map_batches(linkable_rows, batch_format="pyarrow").materialize()
+    # the partial-row count bounds the distinct linkable keys, so the
+    # collect below cannot OOM the driver at web-scale surface counts
+    if linkable.count() <= DRIVER_CC_MAX_KEYS:
+        keys = sorted({k for block in ray.get(linkable.to_arrow_refs())
+                       for k in block["key"].to_pylist()})
+        path, pairs, n_keys = "driver", _driver_pairs(keys, cfg), len(keys)
+    else:
+        path, (pairs, n_keys) = "distributed", _task_pairs(linkable, cfg)
+    ends = sorted({k for pair in pairs for k in pair})
+    mapping = connected_components_driver(ends, pairs)
+    return ({k: c for k, c in mapping.items() if k != c},
+            {"link_path": path, "link_keys": n_keys, "link_pairs": len(pairs)})

@@ -18,6 +18,7 @@ operators a training-data pipeline needs, expressed as Dataset compositions:
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
@@ -202,8 +203,14 @@ def cumulative_window(events: Dataset, key_col: str = "user_id",
 
     def per_bucket(g: pa.Table) -> pa.Table:
         g, start = _partitions(g, key_col, order_cols)
-        run = g[value_col].to_pandas().groupby(start, sort=False).cumsum()
-        return g.append_column(alias, pa.array(run))
+        # SQL SUM skips nulls: a null value's row carries the sum so far,
+        # and only rows before a partition's first value are null
+        value = g[value_col]
+        run = (pd.Series(pc.fill_null(value, 0).to_numpy())
+               .groupby(start, sort=False).cumsum().to_numpy())
+        seen = np.cumsum(np.asarray(pc.is_valid(value)))
+        seen -= np.concatenate([[0], seen])[start]
+        return g.append_column(alias, pa.array(run, mask=seen == 0))
 
     return exchange(events.select_columns(cols), [key_col], per_bucket)
 
@@ -228,7 +235,11 @@ def lag_window(events: Dataset, key_col: str = "user_id",
 
     def per_bucket(g: pa.Table) -> pa.Table:
         g, start = _partitions(g, key_col, order_cols)
-        lag = g[value_col].to_pandas().groupby(start, sort=False).shift(offset)
-        return g.append_column(alias, pa.array(lag))
+        # gather by row index, so the value column keeps its type and nulls
+        # (a pandas shift turns int64 with nulls into float64)
+        src = np.arange(len(g)) - offset
+        inside = np.clip(src, 0, max(len(g) - 1, 0))
+        same = (src == inside) & (start[inside] == start)
+        return g.append_column(alias, g[value_col].take(pa.array(src, mask=~same)))
 
     return exchange(events.select_columns(cols), [key_col], per_bucket)

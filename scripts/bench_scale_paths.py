@@ -6,14 +6,10 @@
    1024 queries (enough that the query matmul dominates the fixed
    read + cell-assignment cost) — sublinear pruning shows as wall time
    growing with nprobe while the fixed costs stay flat.
-2. ``--cc``: the bucket-vectorized distributed-CC fallback vs the previous
-   per-node ``groupby(node).map_groups`` message passing, on a 200k-node /
-   150k-edge chain graph (50k chains of 4, diameter 3). The new path runs
-   to convergence and is asserted equal to driver union-find; the old/new
-   speed comparison times ONE propagation iteration each (the loop body is
-   what changed — per-node costs one Python call per distinct key per
-   iteration, so a full converged run of the old path would take tens of
-   minutes at this size, which is exactly the point).
+2. ``--link``: ``linking.link`` with banding in the driver vs as Ray tasks
+   (the two placements ``DRIVER_CC_MAX_KEYS`` chooses between) on the same
+   200k synthetic linkable keys plus one hot cluster; asserts equal maps
+   and equal verified-pair counts, and prints each side's wall time.
 
 3. ``--edges-skew``: the edges ``grouped_count`` under adversarial key
    skew (one exact triple / one hub entity at 40% of 5M rows) vs a uniform
@@ -25,7 +21,7 @@
 
 Results are recorded in BASELINE.md. Owns its Ray session (script entry).
 
-    python scripts/bench_scale_paths.py --ivf --cc --edges-skew [--cpus 32]
+    python scripts/bench_scale_paths.py --ivf --link --edges-skew [--cpus 32]
 """
 
 from __future__ import annotations
@@ -80,119 +76,54 @@ def bench_ivf(cpus: int) -> dict:
     return out
 
 
-def _cc_inputs():
-    """50k chains of 4 nodes: 200k keys, 150k undirected pair rows."""
+def _link_partials(n_keys: int = 200_000, hot: int = 2_000):
+    """Mention partials over ``n_keys`` linkable keys: groups of 4 spelling
+    variants of one random name (so most groups link), plus one hot
+    cluster of ``hot`` near-identical variants (one band key far above
+    ``SALT_THRESHOLD``)."""
+    import numpy as np
     import pyarrow as pa
     import ray
 
-    keys = [f"k{i:06d}" for i in range(200_000)]
-    a, b = [], []
-    for i in range(0, 200_000, 4):
-        for j in range(3):
-            a.append(keys[i + j])
-            b.append(keys[i + j + 1])
-    keys_ds = ray.data.from_arrow(
-        pa.table({"key": pa.array(keys, pa.string())})).repartition(32)
-    pairs_ds = ray.data.from_arrow(
-        pa.table({"a": pa.array(a, pa.string()),
-                  "b": pa.array(b, pa.string())})).repartition(32)
-    return keys_ds, pairs_ds
+    rng = np.random.default_rng(11)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    labels = ("PER", "ORG", "LOC")
+    keys = []
+    for g in range((n_keys - hot) // 4):
+        base = "".join(rng.choice(letters, 14))
+        label = labels[g % 3]
+        keys += [f"{label}|{base}{v}" for v in ("", " a", " sa", " filho")]
+    keys += [f"ORG|ministerio publico da comarca {i:04d}" for i in range(hot)]
+    return ray.data.from_arrow(pa.table({
+        "key": pa.array(keys, pa.string()),
+        "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
+        "surface": pa.array([k.split("|", 1)[1] for k in keys], pa.string()),
+        "n": pa.array(np.ones(len(keys), dtype=np.int64)),
+    })).repartition(16).materialize()
 
 
-def _cc_per_node_reference(keys_ds, pairs_ds, max_iters: int = 1):
-    """The round-3 implementation: one map_groups UDF call PER NODE per
-    iteration — kept here (test/bench only) as the comparison baseline."""
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Min
+def bench_link(n_keys: int = 200_000) -> dict:
+    from portuguese_pt_legal_ner_ray.config import LinkingConfig
+    from portuguese_pt_legal_ner_ray.stages import linking
 
-    from portuguese_pt_legal_ner_ray.state.components import _checksum
-
-    comp = keys_ds.map_batches(
-        lambda t: pa.table({"node": t["key"], "comp": t["key"],
-                            "dst": pa.nulls(len(t), pa.string())}),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        src = pa.chunked_array([batch["a"], batch["b"]]).combine_chunks()
-        dst = pa.chunked_array([batch["b"], batch["a"]]).combine_chunks()
-        return pa.table({"node": src, "comp": pa.nulls(len(src), pa.string()),
-                         "dst": dst})
-
-    edges = pairs_ds.map_batches(edge_rows, batch_format="pyarrow").materialize()
-
-    def emit_messages(g: pd.DataFrame) -> pa.Table:
-        own = g["comp"].dropna()
-        comp_val = own.min()
-        dsts = g["dst"].dropna().tolist()
-        nodes = [g["node"].iloc[0], *dsts]
-        return pa.table({"node": pa.array(nodes, pa.string()),
-                         "comp": pa.array([comp_val] * len(nodes), pa.string())})
-
-    last = _checksum(comp.map_batches(
-        lambda t: pa.table({"node": t["node"], "comp": t["comp"]}),
-        batch_format="pyarrow"))
-    for _ in range(max_iters):
-        new_comp = (
-            comp.union(edges)
-            .groupby("node")
-            .map_groups(emit_messages, batch_format="pandas")
-            .groupby("node")
-            .aggregate(Min("comp", alias_name="comp"))
-            .map_batches(
-                lambda t: pa.table({"node": t["node"], "comp": t["comp"],
-                                    "dst": pa.nulls(len(t), pa.string())}),
-                batch_format="pyarrow")
-            .materialize()
-        )
-        crc = _checksum(new_comp.map_batches(
-            lambda t: pa.table({"node": t["node"], "comp": t["comp"]}),
-            batch_format="pyarrow"))
-        comp = new_comp
-        if crc == last:
-            break
-        last = crc
-    return comp.map_batches(
-        lambda t: pa.table({"key": t["node"], "comp": t["comp"]}),
-        batch_format="pyarrow")
-
-
-def bench_cc() -> dict:
-    from portuguese_pt_legal_ner_ray.oracle import _UnionFind
-    from portuguese_pt_legal_ner_ray.state.components import (
-        connected_components_distributed,
-    )
-
-    keys_ds, pairs_ds = _cc_inputs()
-    # correctness: converged bucket-vectorized CC == driver union-find
-    t0 = time.time()
-    new = connected_components_distributed(keys_ds, pairs_ds).to_pandas()
-    t_new_converged = round(time.time() - t0, 2)
-    uf = _UnionFind()
-    pairs_df = pairs_ds.to_pandas()
-    for k in keys_ds.to_pandas()["key"]:
-        uf.find(k)
-    for a, b in zip(pairs_df["a"], pairs_df["b"]):
-        uf.union(a, b)
-    want = {k: uf.find(k) for k in new["key"]}
-    got = dict(zip(new["key"], new["comp"]))
-    assert got == want, "bucket-vectorized CC diverged from union-find"
-    # speed: one propagation iteration, old per-node vs new per-bucket
-    from portuguese_pt_legal_ner_ray.state import components as comp_mod
-
-    t0 = time.time()
-    comp_mod.connected_components_distributed(keys_ds, pairs_ds, max_iters=1)\
-        .to_pandas()
-    t_new_1iter = round(time.time() - t0, 2)
-    t0 = time.time()
-    _cc_per_node_reference(keys_ds, pairs_ds, max_iters=1).to_pandas()
-    t_old_1iter = round(time.time() - t0, 2)
-    return {"bucket_vectorized_converged_sec": t_new_converged,
-            "bucket_vectorized_1iter_sec": t_new_1iter,
-            "per_node_1iter_sec": t_old_1iter,
-            "speedup_per_iter": round(t_old_1iter / t_new_1iter, 2),
-            "nodes": 200_000, "components": len(set(want.values()))}
+    partials = _link_partials(n_keys)
+    cfg = LinkingConfig()
+    out: dict = {}
+    maps = {}
+    bound = linking.DRIVER_CC_MAX_KEYS
+    try:
+        for path, limit in (("driver", bound), ("distributed", 0)):
+            linking.DRIVER_CC_MAX_KEYS = limit
+            t0 = time.time()
+            maps[path], stats = linking.link(partials, cfg)
+            assert stats["link_path"] == path
+            out[path] = {"sec": round(time.time() - t0, 2), **stats}
+    finally:
+        linking.DRIVER_CC_MAX_KEYS = bound
+    assert maps["driver"] == maps["distributed"], "banding placements disagree"
+    assert out["driver"]["link_pairs"] == out["distributed"]["link_pairs"]
+    out["components_merged"] = len(set(maps["driver"].values()))
+    return out
 
 
 def bench_ann_index_vs_oneshot(cpus: int) -> dict:
@@ -321,8 +252,8 @@ def main():
     out: dict = {"num_cpus": cpus}
     if "--ivf" in sys.argv:
         out["ivf_topk_512k"] = bench_ivf(cpus)
-    if "--cc" in sys.argv:
-        out["distributed_cc_200k"] = bench_cc()
+    if "--link" in sys.argv:
+        out["link_200k"] = bench_link()
     if "--edges-skew" in sys.argv:
         out["edges_skew_5m"] = bench_edges_skew()
     if "--ann-index" in sys.argv:

@@ -210,6 +210,59 @@ def test_windows_null_partition_matches_duckdb(ray_session):
     assert nulls == [1.0, 3.0, 7.0]
 
 
+def test_windows_null_values_match_duckdb(ray_session):
+    """A null value is skipped by SQL ``SUM``: its row carries the running
+    sum so far, and rows before a partition's first value stay null. LAG
+    passes a null value through and keeps the int64 type."""
+    import duckdb
+
+    from portuguese_pt_legal_ner_ray.stages.windows import cumulative_window, lag_window
+
+    events = pa.table({
+        "event_id": pa.array(range(7), pa.int64()),
+        "user_id": pa.array([1, 1, 1, 2, 2, 2, 2], pa.int64()),
+        "ts": pa.array(range(7), pa.int64()).cast(pa.timestamp("s")),
+        "value": pa.array([1, None, 2, None, None, 2**53 + 1, 5], pa.int64()),
+    })
+    con = duckdb.connect()
+    con.register("events", events)
+    over = "OVER (PARTITION BY user_id ORDER BY ts, event_id"
+    cols = ["user_id", "ts", "event_id", "value"]
+    got = {}
+    for op, alias, sql in (
+            (cumulative_window, "running_sum",
+             f"SUM(value) {over} ROWS UNBOUNDED PRECEDING)"),
+            (lag_window, "lag_value", f"LAG(value) {over})")):
+        out = op(_blocks(events, 2))
+        got[alias] = _rows(out, [*cols, alias])
+        want = con.sql(f"SELECT {', '.join(cols)}, {sql} FROM events").fetchall()
+        assert _canon(got[alias]) == _canon(want), alias
+        assert out.take_batch(7, batch_format="pyarrow")[alias].type == pa.int64()
+    running = [r[4] for r in sorted(got["running_sum"], key=lambda r: r[2])]
+    assert running == [1, 1, 3, None, None, 2**53 + 1, 2**53 + 6]
+
+
+def test_join_on_projected_side_with_empty_first_block(ray_session):
+    """``select_columns`` over blocks whose first holds no rows: the join
+    reads the side's columns from a block with rows, not the reported
+    schema, which still names the dropped ``ts`` (materialized or not)."""
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages.joins import hash_join, hash_left_join
+
+    t = pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3], "ts": [7, 8, 9]})
+    left = ray.data.from_arrow([t.slice(0, 0), t]).select_columns(["k", "v"])
+    right = pa.table({"k": ["a", "c", "d"], "w": [10, 30, 40]})
+    for side in (left, left.materialize()):
+        for op, want in ((hash_join, [("a", 1, 10), ("c", 3, 30)]),
+                         (hash_left_join,
+                          [("a", 1, 10), ("b", 2, None), ("c", 3, 30)])):
+            out = op(side, ray.data.from_arrow(right), key="k")
+            assert sorted(_rows(out, ["k", "v", "w"])) == want, op.__name__
+            cols = out.take_batch(10, batch_format="pyarrow").column_names
+            assert set(cols) == {"k", "v", "w"}
+
+
 # --- property tests against DuckDB -----------------------------------------
 
 _BIG = 2**53
@@ -238,8 +291,8 @@ def _tables(draw, key_type: str):
         "ts": pa.array(draw(st.lists(st.integers(0, 90), min_size=n, max_size=n)),
                        pa.int64()).cast(pa.timestamp("s")).cast(pa.timestamp("us")),
         "event_id": pa.array(range(n), pa.int64()),
-        "value": pa.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)),
-                          pa.int64()),
+        "value": pa.array(draw(st.lists(st.none() | st.integers(-5, 5),
+                                        min_size=n, max_size=n)), pa.int64()),
     })
     m = draw(st.integers(0, 8))
     right = pa.table({
@@ -257,7 +310,7 @@ def _ops():
         hash_left_join,
     )
     from portuguese_pt_legal_ner_ray.stages.shuffle import grouped_agg, grouped_count
-    from portuguese_pt_legal_ner_ray.stages.windows import cumulative_window
+    from portuguese_pt_legal_ner_ray.stages.windows import cumulative_window, lag_window
 
     on = "l.k = r.k"
     return {
@@ -287,15 +340,21 @@ def _ops():
             ["k", "ts", "event_id", "value", "running_sum"],
             "SELECT k, ts, event_id, value, SUM(value) OVER (PARTITION BY k "
             "ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) FROM l"),
+        "lag_window": (
+            lambda d: lag_window(d["l"], key_col="k"),
+            ["k", "ts", "event_id", "value", "lag_value"],
+            "SELECT k, ts, event_id, value, LAG(value) OVER (PARTITION BY k "
+            "ORDER BY ts, event_id) FROM l"),
     }
 
 
 @pytest.mark.parametrize("key_type", sorted(KEY_TYPES))
 def test_exchange_operators_match_duckdb(ray_session, key_type):
-    """grouped_count, grouped_agg, the inner/left/anti joins and
-    cumulative_window equal DuckDB on random tables keyed by ``key_type``
-    (with nulls), at 1 bucket (every key, null and NaN in one bucket) and
-    at 64."""
+    """grouped_count, grouped_agg, the inner/left/anti joins and the
+    cumulative and lag windows equal DuckDB on random tables keyed by
+    ``key_type`` (with null keys and null values), at 1 bucket (every key,
+    null and NaN in one bucket) and at 64. The joins' left side is
+    projected after the split, so its first block may be an empty one."""
     import duckdb
 
     from portuguese_pt_legal_ner_ray.stages import shuffle
@@ -315,7 +374,8 @@ def test_exchange_operators_match_duckdb(ray_session, key_type):
                 mp.setattr(shuffle, "NUM_BUCKETS", nb)
                 for name, (op, cols, sql) in ops.items():
                     got = _rows(op({"l": _blocks(left, cut_l),
-                                    "kv": _blocks(left.select(["k", "value"]), cut_l),
+                                    "kv": _blocks(left, cut_l).select_columns(
+                                        ["k", "value"]),
                                     "r": _blocks(right, cut_r)}), cols)
                     want = con.sql(sql).fetchall()
                     assert _canon(got) == _canon(want), (name, nb)

@@ -69,12 +69,22 @@ def test_triple_set_precision_recall(mini_run):
     assert precision == 1.0 and recall == 1.0  # deterministic shared tagger
 
 
-def test_distributed_cc_matches_driver(mini_run):
-    """Label-propagation CC (pure Dataset algebra) == driver union-find."""
+def test_distributed_cc_matches_driver(mini_run, monkeypatch):
+    """Banding as Ray tasks (forced by a tiny ``DRIVER_CC_MAX_KEYS``) finds
+    the same verified pairs as banding in the driver, so union-find gives
+    the same nodes/edges."""
+    from portuguese_pt_legal_ner_ray.stages import linking
+    from portuguese_pt_legal_ner_ray.state.manifest import Manifest
+
     alt = mini_run["root"] / "out_distcc"
     if not alt.exists():
         shutil.copytree(mini_run["out"], alt)
-    graph_stage(alt, PipelineConfig(), force_distributed_cc=True)
+    monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", 10)
+    row = graph_stage(alt, PipelineConfig())
+    driver_row = Manifest(mini_run["out"]).read("graph", "all")
+    assert (row["link_path"], driver_row["link_path"]) == ("distributed", "driver")
+    assert row["link_pairs"] == driver_row["link_pairs"] > 0
+    assert row["link_keys"] == driver_row["link_keys"]
     for name in ("nodes", "edges"):
         _assert_table_equal(alt, mini_run["golden"], name)
 
@@ -187,7 +197,8 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     """Changing ner_ray_remote_args (a pure placement knob) must NOT
     invalidate finished partitions on resume. The wall seconds the manifest
     rows record (each extract row's ``wall_s``, each graph write's phase)
-    sit outside the fingerprint too: the rerun leaves every row as it was."""
+    and the graph row's link counters sit outside the fingerprint too: the
+    rerun leaves every row as it was."""
     from portuguese_pt_legal_ner_ray.state.manifest import Manifest
 
     out = tmp_path / "out_fp"
@@ -199,10 +210,11 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
         if r["stage"] == "extract"
     }
     assert all(r["wall_s"] > 0 for r in rows if r["stage"] == "extract")
-    phases = Manifest(out).read("graph", "all")["phases"]
-    assert {"extract", "link", "nodes", "edges", "spans", "triples", "errors",
-            "writes"} <= set(phases)
     graph_before = Manifest(out).read("graph", "all")
+    assert {"extract", "link", "nodes", "edges", "spans", "triples", "errors",
+            "writes"} <= set(graph_before["phases"])
+    assert {"link_path", "link_keys", "link_pairs"} <= set(graph_before)
+    assert graph_before["link_pairs"] > 0
     run_kg_pipeline(
         mini_run["input"], out,
         cfg=PipelineConfig(ner_ray_remote_args={"num_cpus": 1}),

@@ -249,6 +249,8 @@ def test_cli_report_and_build(mini_run, capsys, tmp_path):
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     stages = {l["stage"] for l in lines}
     assert stages == {"extract", "graph"}
+    graph = next(l for l in lines if l["stage"] == "graph")
+    assert graph["link_path"] == "driver" and graph["link_pairs"] > 0
     # build on an already-complete out_dir resumes instantly via manifests
     assert main(["build", str(mini_run["input"]), str(mini_run["out"])]) == 0
 

@@ -1,4 +1,4 @@
-"""Skew-path linking (distributed, salted blocks) and dynamic batching."""
+"""Skew-path linking (task-side banding, salted blocks) and dynamic batching."""
 
 import pyarrow as pa
 import pytest
@@ -79,96 +79,14 @@ def test_tagger_error_quarantined_not_silent():
     assert len(out["spans"][0].as_py()) > 0  # healthy rows unaffected
 
 
-def test_distributed_cc_random_graph_matches_union_find(ray_session):
-    """Randomized (seeded) graph: label propagation == union-find exactly."""
-    import numpy as np
-    import ray
-
-    from portuguese_pt_legal_ner_ray.oracle import _UnionFind
-    from portuguese_pt_legal_ner_ray.state.components import (
-        connected_components_distributed,
-    )
-
-    rng = np.random.default_rng(99)
-    nodes = [f"n{i:04d}" for i in range(300)]
-    edges = [(nodes[int(a)], nodes[int(b)])
-             for a, b in rng.integers(0, 300, size=(180, 2)) if a != b]
-    uf = _UnionFind()
-    for n in nodes:
-        uf.find(n)
-    for a, b in edges:
-        uf.union(a, b)
-    want = {n: uf.find(n) for n in nodes}
-
-    keys_ds = ray.data.from_arrow(pa.table({"key": pa.array(nodes, pa.string())}))
-    pairs_ds = ray.data.from_arrow(pa.table({
-        "a": pa.array([a for a, _ in edges], pa.string()),
-        "b": pa.array([b for _, b in edges], pa.string()),
-    })).repartition(4)
-    comp = connected_components_distributed(keys_ds, pairs_ds)
-    got = {r["key"]: r["comp"] for r in comp.take_all()}
-    assert got == want
-
-
-def test_cc_checksum_independent_of_blocks(ray_session):
-    """The distributed CC stops when its assignment checksum repeats, and
-    each round splits rows into a different number of blocks. The checksum
-    must therefore be the same for the same rows however they are split,
-    or an unchanged assignment reads as changed and the loop runs on."""
-    import ray
-
-    from portuguese_pt_legal_ner_ray.state.components import _checksum
-
-    n = 5000
-    rows = pa.table({"node": pa.array([f"n{i}" for i in range(n)], pa.string()),
-                     "comp": pa.array([f"c{i % 97}" for i in range(n)], pa.string())})
-    sums = {_checksum(ray.data.from_arrow(rows).repartition(k)) for k in (1, 3, 16)}
-    assert len(sums) == 1
-
-
-def test_cc_rounds_keep_block_count(ray_session, monkeypatch):
-    """Each label-propagation round unions the current assignment with the
-    edge rows. Its output must not carry the edge blocks on into the next
-    round, or every round runs more tasks than the one before: the
-    assignment checked after each round keeps the first one's block count."""
-    import ray
-
-    from portuguese_pt_legal_ner_ray.state import components
-
-    # 8 chains of 6 nodes: the min label needs 5 rounds to cross a chain
-    chains = [[f"c{c}_{j}" for j in range(6)] for c in range(8)]
-    pairs = [p for ch in chains for p in zip(ch, ch[1:])]
-    keys_ds = ray.data.from_arrow(pa.table(
-        {"key": [n for ch in chains for n in ch]})).repartition(3)
-    pairs_ds = ray.data.from_arrow(pa.table(
-        {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}))
-    blocks = []
-    real = components._checksum
-
-    def counting(ds):
-        blocks.append(ds.num_blocks())
-        return real(ds)
-
-    monkeypatch.setattr(components, "_checksum", counting)
-    comp = components.connected_components_distributed(keys_ds, pairs_ds)
-    got = {r["key"]: r["comp"] for r in comp.take_all()}
-    assert got == {n: ch[0] for ch in chains for n in ch}
-    assert len(blocks) >= 6
-    assert set(blocks) == {3}
-
-
-def test_skewed_hot_cluster_links_fully(ray_session):
+def test_skewed_hot_cluster_links_fully(ray_session, monkeypatch):
     """One entity with > SALT_THRESHOLD near-identical variants: the salted
     pairing + band redundancy must still produce ONE component, identically
-    in the oracle union-find and the distributed label-propagation path."""
+    in the oracle union-find and ``linking.link`` with banding as tasks."""
     import ray
 
     from portuguese_pt_legal_ner_ray.functions.blocking import SALT_THRESHOLD
-    from portuguese_pt_legal_ner_ray.stages.linking import (
-        BandStage,
-        candidate_pairs,
-        canonicalize,
-    )
+    from portuguese_pt_legal_ner_ray.stages import linking
 
     cfg = LinkingConfig()
     n = SALT_THRESHOLD + 40
@@ -177,22 +95,19 @@ def test_skewed_hot_cluster_links_fully(ray_session):
     oracle_map = link_entities(mentions, cfg)
     n_comps_oracle = len(set(oracle_map.values()))
 
-    mentions_ds = ray.data.from_arrow(pa.table({
+    partials = ray.data.from_arrow(pa.table({
         "key": pa.array(list(mentions), pa.string()),
         "label": pa.array(["ORG"] * n, pa.string()),
         "surface": pa.array([v[1] for v in mentions.values()], pa.string()),
         "n": pa.array([5] * n, pa.int64()),
     }))
-    bands = mentions_ds.map_batches(
-        BandStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(cfg=cfg), concurrency=(1, 2),
-    )
-    pairs = candidate_pairs(bands, cfg)
-    comp_ds = canonicalize(mentions_ds, pairs)
-    got = {r["key"]: r["comp"] for r in comp_ds.take_all()}
+    monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", 10)
+    mapping, stats = linking.link(partials, cfg)
+    assert stats["link_path"] == "distributed" and stats["link_keys"] == n
+    got = {k: mapping.get(k, k) for k in mentions}
     assert got == oracle_map
     # the hot cluster collapses into very few components (fully connected
-    # in the oracle; distributed path must agree exactly regardless)
+    # in the oracle; the task side must agree exactly regardless)
     assert n_comps_oracle < n // 10
 
 
