@@ -57,10 +57,10 @@ def _corpus_paths(sf: float) -> dict[str, str]:
 
 def entry() -> Any:
     """Flagship: full KG construction at sf0.001 -> triples Dataset."""
-    import ray
+    from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
 
     out = _kg_out(0.001)
-    return ray.data.read_parquet(str(out / "graph" / "triples"))
+    return sized_read_parquet(str(out / "graph" / "triples"))
 
 
 # ---------------------------------------------------------------------------
@@ -108,28 +108,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def _graph_tbl(name: str):
         def fn(sf_dir: str):
             out = _kg_out(_sf_of(sf_dir))
-            return ray.data.read_parquet(str(out / "graph" / name))
+            return sized_read_parquet(str(out / "graph" / name))
 
         return fn
 
     def kg_extract_text(sf_dir: str):
         out = _kg_out(_sf_of(sf_dir))
-        return ray.data.read_parquet(str(out / "extracted")).select_columns(["url", "text"])
+        return sized_read_parquet(str(out / "extracted"), columns=["url", "text"])
 
     def kg_paragraphs(sf_dir: str):
         out = _kg_out(_sf_of(sf_dir))
-        return ray.data.read_parquet(str(out / "extraction")).select_columns(
-            ["url", "para_idx", "para_text"]
-        )
+        return sized_read_parquet(str(out / "extraction"),
+                                  columns=["url", "para_idx", "para_text"])
 
     def kg_span_label_counts(sf_dir: str):
         import pyarrow as pa
 
         out = _kg_out(_sf_of(sf_dir))
-        from portuguese_pt_legal_ner_ray.stages.shuffle import strip_schema_metadata
-
-        ds = strip_schema_metadata(
-            ray.data.read_parquet(str(out / "graph" / "spans"), columns=["label"]))
+        ds = sized_read_parquet(str(out / "graph" / "spans"), columns=["label"])
         return ds.groupby("label").count().map_batches(
             lambda t: pa.table({"label": t["label"], "n_spans": t["count()"]}),
             batch_format="pyarrow",
@@ -161,11 +157,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 return pa.table({"tp": pa.array([len(got & self.want)], pa.int64()),
                                  "n_got": pa.array([len(got)], pa.int64())})
 
-        from portuguese_pt_legal_ner_ray.stages.shuffle import strip_schema_metadata
-
-        triples = strip_schema_metadata(
-            ray.data.read_parquet(str(out / "graph" / "triples"),
-                                  columns=["subj", "pred", "obj"]))
+        triples = sized_read_parquet(str(out / "graph" / "triples"),
+                                     columns=["subj", "pred", "obj"])
         # distinct first so per-batch partial sets can be summed exactly
         # (bucketed combiner shuffle — Ray's native groupby pays
         # per-distinct-key cost in its sort reduce; see stages/shuffle.py)
@@ -440,7 +433,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 }
             )
 
-        return ray.data.read_parquet(
+        return sized_read_parquet(
             str(out / "extraction"), columns=["url", "para_idx", "spans"]
         ).map_batches(counts, batch_format="pyarrow")
 
@@ -455,8 +448,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         sf = _sf_of(sf_dir)
         gdir = ensure_goldens(sf)
         out = _kg_out(sf)
-        pred = ray.data.read_parquet(str(out / "graph" / "spans"))
-        gold = ray.data.read_parquet(str(Path(gdir) / "spans.parquet"))
+        pred = sized_read_parquet(str(out / "graph" / "spans"))
+        gold = sized_read_parquet(str(Path(gdir) / "spans.parquet"))
         return pred, gold
 
     def kg_span_eval(sf_dir: str):
@@ -494,10 +487,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return relational.longest_doc_per_lang(sf_dir)
 
     def docs_hash_split(sf_dir: str):
-        return relational.hash_split(
-            ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                  columns=["doc_id", "text"])
-        )
+        return relational.hash_split(_docs(sf_dir))
 
     def events_sliding_hour(sf_dir: str):
         from portuguese_pt_legal_ner_ray.stages.windows import sliding_window
@@ -513,7 +503,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from portuguese_pt_legal_ner_ray.sources.multimodal import resize_metadata
 
         path = ensure_media_table(500)
-        return resize_metadata(decode_images(ray.data.read_parquet(str(path))))
+        return resize_metadata(decode_images(sized_read_parquet(str(path))))
 
     def media_audio_resample(sf_dir: str):
         from portuguese_pt_legal_ner_ray.sources.multimodal import (
@@ -522,7 +512,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         path = ensure_media_table(500)
-        return resample_plan(decode_audio(ray.data.read_parquet(str(path))))
+        return resample_plan(decode_audio(sized_read_parquet(str(path))))
 
     def kg_confusion(sf_dir: str):
         from portuguese_pt_legal_ner_ray.stages.evalx import confusion_matrix
@@ -536,8 +526,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         pred, gold = _spans_pair(sf_dir)
         out = _kg_out(_sf_of(sf_dir))
-        paras = ray.data.read_parquet(str(out / "extraction"),
-                                      columns=["para_text"])
+        paras = sized_read_parquet(str(out / "extraction"), columns=["para_text"])
         return token_confusion(pred, gold, paras)
 
     # REGISTRY CONTRACT: exactly <= 50 entries, so the driver's 50-query

@@ -74,7 +74,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         line.update({k: v for k, v in rec.items()
                      if k in ("pages", "paragraphs", "link_keys", "link_pairs",
                               "nodes", "edges", "triples", "errors",
-                              "link_path", "phases", "wall_s")})
+                              "link_path", "phases", "wall_s", "in_bytes",
+                              "blocks")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):
         # reference src/tracking.py:253-272 parity: confusion matrix saved
@@ -82,12 +83,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         _ensure_ray()
         from pathlib import Path
 
-        import ray
-
+        from .sources.parquet import sized_read_parquet
         from .stages.evalx import confusion_matrix, write_confusion_artifact
 
-        pred = ray.data.read_parquet(str(Path(args.out_dir) / "graph" / "spans"))
-        gold = ray.data.read_parquet(args.confusion_gold)
+        pred = sized_read_parquet(str(Path(args.out_dir) / "graph" / "spans"))
+        gold = sized_read_parquet(args.confusion_gold)
         cells = confusion_matrix(pred, gold)
         csv_path, png_path = write_confusion_artifact(
             cells, Path(args.out_dir) / "artifacts" / "confusion")

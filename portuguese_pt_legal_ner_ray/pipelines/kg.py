@@ -22,6 +22,15 @@ only one or two of the cluster's CPUs busy, so run one after another they
 leave most CPUs idle. Every Dataset is built in the calling thread first;
 only the executions fan out.
 
+Every read is byte-sized (``sources/parquet.sized_read_parquet``: one block
+per 32 MB). Concurrent jobs compete for the same CPUs, so the tasks each one
+schedules set the wall time, not its bytes: Ray's default read splits an
+80 KB page file into 8 blocks. The graph stage and the JSONL export read
+``extraction/`` with no block floor. The extract reads take a derived floor,
+``ceil(cluster CPUs / partitions written together)`` (``_read_floor``): one
+block per partition in a full crawl, every CPU for a lone re-extracted
+partition, whose NER a real model would otherwise run on one core.
+
 The wide section (linking + graph) runs once over all extraction output —
 its inputs (distinct entities, triples) are orders of magnitude smaller than
 the corpus.
@@ -54,6 +63,7 @@ import ray
 from ray.data import Dataset
 
 from ..config import PipelineConfig
+from ..sources.parquet import read_plan, sized_read_parquet
 from ..stages import linking
 from ..stages.extract import (
     explode_batch,
@@ -164,15 +174,31 @@ def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _read_floor(partitions: int) -> int:
+    """Block floor for the input reads of ``partitions`` partitions written
+    together: ``ceil(cluster CPUs / partitions)``, so their reads together
+    span every CPU."""
+    return -(-int(ray.cluster_resources().get("CPU", 1)) // partitions)
+
+
 def _extract_jobs(files: list[str], out_dir: Path, part: str,
-                  cfg: PipelineConfig) -> list[tuple[Dataset, Path]]:
-    """One partition's two write jobs, built but not run.
+                  cfg: PipelineConfig, min_blocks: int = 1,
+                  ) -> tuple[list[tuple[Dataset, Path]], dict]:
+    """One partition's two write jobs, built but not run, and the
+    ``in_bytes``/``blocks`` their input reads as.
 
     Both stream over the input files: one writes the extracted text
     (``extracted/``), the other carries the text on through explode and NER
     into ``extraction/``. The second parses the HTML again (a vectorized
     Arrow kernel) rather than reading ``extracted/`` back; pinning the text
     in the object store for both jobs measured no faster.
+
+    Each job reads its files with ``sized_read_parquet``: one block per
+    32 MB, and at least ``min_blocks``. Callers pass ``_read_floor`` of the
+    partitions written together, so a full crawl on as many CPUs as
+    partitions reads one block per partition, while a lone re-extracted
+    partition (``append``, or ``ner_concurrency`` set) still spreads its
+    NER over every CPU.
     """
     ext_dir = out_dir / "extracted" / f"part={part}"
     ner_dir = out_dir / "extraction" / f"part={part}"
@@ -183,7 +209,8 @@ def _extract_jobs(files: list[str], out_dir: Path, part: str,
             shutil.rmtree(d)
 
     def text() -> Dataset:  # columns pruned at the read: url, html, lang only
-        return ray.data.read_parquet(files, columns=["url", "html", "lang"]).map_batches(
+        return sized_read_parquet(files, columns=["url", "html", "lang"],
+                                  min_blocks=min_blocks).map_batches(
             extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
 
     ner = (
@@ -191,7 +218,8 @@ def _extract_jobs(files: list[str], out_dir: Path, part: str,
         .map_batches(explode_batch, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(ner_triples_task, **ner_map_batches_kwargs(cfg))
     )
-    return [(text(), ext_dir), (ner, ner_dir)]
+    in_bytes, blocks = read_plan(files, min_blocks=min_blocks)
+    return [(text(), ext_dir), (ner, ner_dir)], {"in_bytes": in_bytes, "blocks": blocks}
 
 
 def _partition_row(files: list[str], out_dir: Path, part: str,
@@ -208,7 +236,9 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
                       cfg: PipelineConfig,
                       input_sig: list[list] | None = None) -> dict:
     """One partition's linear section: read → text → explode → NER → write,
-    as the two write jobs of ``_extract_jobs``, run at the same time.
+    as the two write jobs of ``_extract_jobs``, run at the same time. A lone
+    partition, so its reads take one block per cluster CPU at least; the
+    returned row carries their ``in_bytes`` and ``blocks``.
 
     ``input_sig`` is the (path, size, mtime_ns) signature captured BEFORE any
     file is read (run_kg_pipeline passes its plan-time sigs). Signing after
@@ -218,15 +248,19 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     """
     if input_sig is None:
         input_sig = _files_sig(files)
-    for _ in _run_writes(_extract_jobs(files, out_dir, part, cfg)):
+    jobs, reads = _extract_jobs(files, out_dir, part, cfg, min_blocks=_read_floor(1))
+    for _ in _run_writes(jobs):
         pass
-    return _partition_row(files, out_dir, part, input_sig)
+    return {**_partition_row(files, out_dir, part, input_sig), **reads}
 
 
 def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     """The wide section: extraction → mention partials → linking → nodes/edges.
 
-    ``extraction/`` is the one table read; the mention partials are pinned
+    ``extraction/`` is the one table read, byte-sized (``sized_read_parquet``,
+    no block floor): its per-row work is light and every consumer is an
+    exchange or a write, so a small run reads it as one block and each
+    graph table is one file. The mention partials are pinned
     once and feed both linking and nodes. ``linking.link`` turns them into
     one non-identity key -> component map (banding in the driver, or as Ray
     tasks above ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows;
@@ -235,16 +269,17 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     ``extraction/`` and never read back. The five table writes run at the
     same time (``_run_writes``).
     Returns the graph manifest row: row counts, ``link_path``, the number
-    of keys and verified pairs linking ran over, and per-phase wall
-    seconds: ``link``, each table's write job, and ``writes`` for the whole
-    block of writes.
+    of keys and verified pairs linking ran over, the ``extraction/`` read's
+    ``in_bytes`` and ``blocks``, and per-phase wall seconds: ``link``, each
+    table's write job, and ``writes`` for the whole block of writes.
     """
     graph = out_dir / "graph"
     if graph.exists():
         shutil.rmtree(graph)
     phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    extraction = ray.data.read_parquet(
+    in_bytes, blocks = read_plan(str(out_dir / "extraction"))
+    extraction = sized_read_parquet(
         str(out_dir / "extraction"),
         columns=["url", "para_idx", "spans", "triples", "error"])
     spans = extraction.map_batches(flatten_spans, batch_format="pyarrow")
@@ -274,6 +309,8 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     phases["writes"] = time.perf_counter() - t
     return {
         **link_stats,
+        "in_bytes": in_bytes,
+        "blocks": blocks,
         "phases": {k: round(v, 3) for k, v in phases.items()},
         **{name: parquet_row_count(graph / name)
            for name in ("nodes", "edges", "triples", "errors")},
@@ -302,12 +339,16 @@ def run_kg_pipeline(
     (``_run_writes``), unless ``cfg.ner_concurrency`` is set: then one
     partition runs at a time, so the cap holds for the whole run. Each
     partition's manifest row is written in plan order once both of its jobs
-    finished, with its wall seconds (``wall_s``) outside the fingerprint.
+    finished, with its wall seconds (``wall_s``) and the input bytes and
+    block count its reads were sized to (``in_bytes``, ``blocks``) outside
+    the fingerprint. The reads' block floor is derived, not configured:
+    ``ceil(cluster CPUs / partitions written together)`` (``_read_floor``).
+    An empty batch (a resumed run with nothing pending) builds no jobs.
 
     The graph row's link counters (``link_path``, ``link_keys``,
-    ``link_pairs``) and per-phase ``phases`` sit next to ``plan_fp``,
-    outside it. Tests force task-side banding by monkeypatching
-    ``linking.DRIVER_CC_MAX_KEYS``.
+    ``link_pairs``), its ``extraction/`` read's ``in_bytes`` and ``blocks``,
+    and per-phase ``phases`` sit next to ``plan_fp``, outside it. Tests
+    force task-side banding by monkeypatching ``linking.DRIVER_CC_MAX_KEYS``.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —
     used by the kill-and-resume test only.
@@ -347,18 +388,23 @@ def run_kg_pipeline(
         pending = pending[:fail_after_partitions]
     # ner_concurrency caps one Dataset's NER tasks; concurrent partitions
     # would add their caps up, so with a cap set they run one at a time
-    batches = [pending] if cfg.ner_concurrency is None else [[i] for i in pending]
+    if cfg.ner_concurrency is None:
+        batches = [pending] if pending else []
+    else:
+        batches = [[i] for i in pending]
     t_extract = time.perf_counter()
     for batch in batches:
-        jobs = [job for i in batch
-                for job in _extract_jobs(plan[i], out_dir, f"{i:05d}", cfg)]
-        timings = _run_writes(jobs)
+        floor = _read_floor(len(batch))
+        built = [_extract_jobs(plan[i], out_dir, f"{i:05d}", cfg, min_blocks=floor)
+                 for i in batch]
+        timings = _run_writes([job for jobs, _ in built for job in jobs])
         # rows in plan order, each once both of its partition's jobs finished
-        for i in batch:
+        for i, (_, reads) in zip(batch, built):
             (s0, e0), (s1, e1) = next(timings), next(timings)
             part = f"{i:05d}"
             meta = _partition_row(plan[i], out_dir, part, plan_sigs[i])
             meta["wall_s"] = round(max(e0, e1) - min(s0, s1), 3)
+            meta.update(reads)
             if model_art is not None:
                 meta["model"] = model_art
             manifest.mark_done("extract", part, cfg_fp=cfg_fp, **meta)
@@ -429,8 +475,8 @@ def export_predictions_jsonl(out_dir: str | Path, jsonl_dir: str | Path) -> int:
                              "labels": per_row})
 
     out_dir = Path(out_dir)
-    ds = ray.data.read_parquet(str(out_dir / "extraction"),
-                               columns=["para_text", "spans"])
+    ds = sized_read_parquet(str(out_dir / "extraction"),
+                            columns=["para_text", "spans"])
     ds = ds.map_batches(to_records, batch_format="pyarrow")
     ds.write_json(str(jsonl_dir))
     return parquet_row_count(out_dir / "extraction")

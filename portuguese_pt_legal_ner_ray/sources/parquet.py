@@ -18,9 +18,20 @@ is its task count, not its bytes. Dropping that floor changed every input of
 up to 224 MB (7 x 32 MB, file bytes), which now reads as 1-7 blocks instead
 of 8; larger inputs read as before, and at 100 TB the same rule produces
 thousands of blocks. When the per-row downstream compute is heavy enough to
-want one block per core on small inputs (the O(n^2) embedding near-dup
-scan, simhash), pass ``min_blocks=<cpu count>`` — see ``_docs(wide=True)``
-and ``near_dup_embedding`` in ``__ray_entry__.py``.
+want one block per core on small inputs, pass a floor. The callers that do:
+
+- ``_docs(wide=True)`` and ``near_dup_embedding`` in ``__ray_entry__.py``
+  (the O(n^2) embedding near-dup scan, simhash): the CPU count, at
+  least 8;
+- ``pipelines/kg._extract_jobs`` (NER): ``ceil(cluster CPUs / partitions
+  written together)``, so a lone re-extracted partition spans every CPU
+  and a full crawl reads one block per partition;
+- ``scripts/bench_scale_paths.py`` and ``scripts/ivf_scaling.py``
+  (brute-force scans): the CPU count.
+
+Every other Parquet read in the repo takes the default; a guard test keeps
+``ray.data.read_parquet`` to this module. ``read_plan`` returns the input
+bytes and block count a read is sized to, for manifests to record.
 """
 
 from __future__ import annotations
@@ -77,6 +88,21 @@ def _clean_schema(paths, columns):
     return schema
 
 
+def read_plan(
+    paths: str | list[str],
+    target_block_bytes: int = 32 << 20,
+    min_blocks: int = 1,
+    max_blocks: int | None = None,
+) -> tuple[int, int]:
+    """``(input bytes, block count)`` that ``sized_read_parquet`` reads
+    ``paths`` as, with the same sizing arguments."""
+    in_bytes = _input_bytes(paths)
+    n = max(min_blocks, -(-in_bytes // target_block_bytes))
+    if max_blocks is not None:
+        n = min(n, max_blocks)
+    return in_bytes, n
+
+
 def sized_read_parquet(
     paths: str | list[str],
     columns: list[str] | None = None,
@@ -84,11 +110,10 @@ def sized_read_parquet(
     min_blocks: int = 1,
     max_blocks: int | None = None,
 ):
-    """``ray.data.read_parquet`` with a byte-budgeted ``override_num_blocks``."""
+    """``ray.data.read_parquet`` with a byte-budgeted ``override_num_blocks``
+    (``read_plan``) and a metadata-free schema."""
     import ray
 
-    n = max(min_blocks, -(-_input_bytes(paths) // target_block_bytes))
-    if max_blocks is not None:
-        n = min(n, max_blocks)
+    _, n = read_plan(paths, target_block_bytes, min_blocks, max_blocks)
     return ray.data.read_parquet(paths, columns=columns, override_num_blocks=n,
                                  schema=_clean_schema(paths, columns))

@@ -8,7 +8,8 @@ SURVEY.md §7 step 6, target-spec mandated (no counterpart in the reference):
 3. per-(label, band_key) deterministic salted sorted-neighborhood candidate
    pairs (functions/blocking.py — a pure function of the member set, so
    results are parallelism-independent);
-4. Jaccard verification of each distinct candidate pair;
+4. Jaccard verification of each distinct candidate pair, with each distinct
+   key shingled once (``_verify_pairs``);
 5. union-find in the driver over the verified pairs' endpoints.
 
 ``link`` is the one entry point and there is one path: steps 2-4 yield the
@@ -38,10 +39,12 @@ from .shuffle import exchange, grouped_agg, grouped_count, worker_cached
 
 # Above this many linkable partial rows (an upper bound on distinct linkable
 # keys), banding, pairing and verification run as Ray tasks instead of in
-# the driver; union-find stays in the driver either way. Driver banding is
-# single-threaded and the task side measures faster on large key sets
-# (scripts/bench_scale_paths.py --link, BASELINE.md). Read at call time, so
-# tests force the task side with a tiny override.
+# the driver; union-find stays in the driver either way. With each key
+# shingled once, the driver side was faster at every measured size at 4
+# CPUs (8.6 vs 15.3 s at 20k keys, 68 vs 153 s at 200k, 355 vs 965 s at 1M;
+# scripts/bench_scale_paths.py --link --keys N, BASELINE.md), and the gap
+# grew with size; no crossover was found, so the bound stays at 2M. Read at
+# call time, so tests force the task side with a tiny override.
 DRIVER_CC_MAX_KEYS = 2_000_000
 _LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 
@@ -164,17 +167,26 @@ def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
 
     def verify(batch: pa.Table) -> pa.Table:
         pairs = zip(batch["a"].to_pylist(), batch["b"].to_pylist())
-        keep = [_same_entity(a, b, cfg) for a, b in pairs]
-        return batch.filter(pa.array(keep, pa.bool_()))
+        return batch.filter(pa.array(_verify_pairs(pairs, cfg), pa.bool_()))
 
     return deduped.map_batches(verify, batch_format="pyarrow")
 
 
-def _same_entity(a: str, b: str, cfg: LinkingConfig) -> bool:
-    """Jaccard verification of one candidate pair of entity keys."""
-    k = cfg.shingle_k
-    return jaccard(shingles(a.split("|", 1)[1], k),
-                   shingles(b.split("|", 1)[1], k)) >= cfg.jaccard_threshold
+def _verify_pairs(pairs, cfg: LinkingConfig) -> list[bool]:
+    """Jaccard verification of candidate pairs of entity keys, one verdict
+    per pair. Each distinct key is shingled once, not once per pair it
+    is in: a key sits in many candidate pairs, and shingling was most of
+    the verify time."""
+    k, memo = cfg.shingle_k, {}
+
+    def shingled(key: str) -> set[int]:
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = shingles(key.split("|", 1)[1], k)
+        return got
+
+    return [jaccard(shingled(a), shingled(b)) >= cfg.jaccard_threshold
+            for a, b in pairs]
 
 
 def connected_components_driver(keys: list[str], pairs: list[tuple[str, str]]) -> dict[str, str]:
@@ -191,12 +203,13 @@ def connected_components_driver(keys: list[str], pairs: list[tuple[str, str]]) -
 
 def _driver_pairs(keys: list[str], cfg: LinkingConfig) -> list[tuple[str, str]]:
     """Distinct linkable keys -> verified pairs, in the driver:
-    ``BandStage`` → ``block_pairs`` → ``_same_entity``."""
+    ``BandStage`` → ``block_pairs`` → ``_verify_pairs``."""
     bands = BandStage(cfg)(pa.table({
         "key": pa.array(keys, pa.string()),
         "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
     }))
-    return [(a, b) for a, b in block_pairs(bands, cfg) if _same_entity(a, b, cfg)]
+    pairs = list(block_pairs(bands, cfg))
+    return [p for p, ok in zip(pairs, _verify_pairs(pairs, cfg)) if ok]
 
 
 def _task_pairs(linkable: Dataset, cfg: LinkingConfig) -> tuple[list[tuple[str, str]], int]:

@@ -174,12 +174,9 @@ def lineitems_per_supplier_nation(sf_dir: str) -> Dataset:
 
 def top_orders(sf_dir: str, k: int = 10) -> Dataset:
     """Global top-k by totalprice, orderkey tiebreak (sort + limit)."""
-    from .shuffle import strip_schema_metadata
-
     return (
-        strip_schema_metadata(
-            sized_read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_orderkey", "o_totalprice"]))
+        sized_read_parquet(f"{sf_dir}/orders.parquet",
+                           columns=["o_orderkey", "o_totalprice"])
         .sort(["o_totalprice", "o_orderkey"], descending=[True, False])
         .limit(k)
     )

@@ -29,6 +29,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from ..sources.parquet import sized_read_parquet
 from .shuffle import pool_size, worker_cached
 
 
@@ -615,7 +616,7 @@ def ivf_query(
             "query_id": pa.array([], pa.int64()),
             "vec_id": pa.array([], pa.int64()),
         }))
-    probed = ray.data.read_parquet(paths, columns=[id_col, emb_col, "cell_id"])
+    probed = sized_read_parquet(paths, columns=[id_col, emb_col, "cell_id"])
     probe_ref = ray.put(probe)
 
     class ProbedPartial(_PartialTopK):

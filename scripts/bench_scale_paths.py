@@ -8,8 +8,9 @@
    growing with nprobe while the fixed costs stay flat.
 2. ``--link``: ``linking.link`` with banding in the driver vs as Ray tasks
    (the two placements ``DRIVER_CC_MAX_KEYS`` chooses between) on the same
-   200k synthetic linkable keys plus one hot cluster; asserts equal maps
-   and equal verified-pair counts, and prints each side's wall time.
+   200k (``--keys N``) synthetic linkable keys plus one hot cluster;
+   asserts equal maps and equal verified-pair counts, and prints each
+   side's wall time.
 
 3. ``--edges-skew``: the edges ``grouped_count`` under adversarial key
    skew (one exact triple / one hub entity at 40% of 5M rows) vs a uniform
@@ -22,6 +23,7 @@
 Results are recorded in BASELINE.md. Owns its Ray session (script entry).
 
     python scripts/bench_scale_paths.py --ivf --link --edges-skew [--cpus 32]
+    python scripts/bench_scale_paths.py --link --keys 20000 --cpus 4
 """
 
 from __future__ import annotations
@@ -253,7 +255,10 @@ def main():
     if "--ivf" in sys.argv:
         out["ivf_topk_512k"] = bench_ivf(cpus)
     if "--link" in sys.argv:
-        out["link_200k"] = bench_link()
+        keys = 200_000
+        if "--keys" in sys.argv:
+            keys = int(sys.argv[sys.argv.index("--keys") + 1])
+        out[f"link_{keys // 1000}k"] = bench_link(keys)
     if "--edges-skew" in sys.argv:
         out["edges_skew_5m"] = bench_edges_skew()
     if "--ann-index" in sys.argv:

@@ -80,6 +80,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
+    from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
     from portuguese_pt_legal_ner_ray.stages.similarity import (
         brute_force_topk,
         ivf_topk,
@@ -111,11 +112,12 @@ def main() -> None:
     t_brute, truth = run(lambda: brute_force_topk(vecs, qref, k=K))
     # storage-fair baseline: at 100 TB the corpus lives on disk, not in the
     # object store — brute force then pays the full-table read+decode that
-    # ivf_query only pays for the probed fraction
+    # ivf_query only pays for the probed fraction (one block per CPU: the
+    # scan is compute-bound)
     disk_dir = "/dev/shm/kgray_ivf_flat"
     vecs.write_parquet(disk_dir)
     t_brute_disk, _ = run(lambda: brute_force_topk(
-        ray.data.read_parquet(disk_dir), qref, k=K))
+        sized_read_parquet(disk_dir, min_blocks=args.cpus), qref, k=K))
     result = {"n": args.n, "d": D, "n_cells": N_CELLS, "nq": N_QUERIES,
               "k": K, "num_cpus": args.cpus, "brute_sec": t_brute,
               "brute_from_disk_sec": t_brute_disk,

@@ -111,3 +111,67 @@ def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkey
                    Path(log).read_text().splitlines())
     assert len(calls) >= 4
     assert all(a[1] <= b[0] for a, b in zip(calls, calls[1:]))
+
+
+def test_kg_reads_are_byte_sized(mini_run):
+    """Every read of the fixture's run goes through ``sized_read_parquet``:
+    the eight extract reads (two jobs per partition) with a floor of
+    ceil(4 CPUs / 4 pending partitions) = 1 block, and the graph stage's
+    one read of ``extraction/`` with no floor. The run is 200 pages, so
+    each graph table comes out of one block as one Parquet file (Ray's
+    default read wrote 8); ``errors`` is empty here, and Ray writes no file
+    for an empty table."""
+    reads, out = mini_run["reads"], mini_run["out"]
+    assert reads["ray"] == len(reads["sized"]) == 4 * 2 + 1
+    extract = [r for r in reads["sized"] if isinstance(r["paths"], list)]
+    assert len(extract) == 8 and all(r["min_blocks"] == 1 for r in extract)
+    graph = [r for r in reads["sized"] if not isinstance(r["paths"], list)]
+    assert graph == [{"paths": str(out / "extraction"), "min_blocks": 1}]
+    for table in ("spans", "triples", "nodes", "edges"):
+        assert len(list((out / "graph" / table).glob("*.parquet"))) == 1, table
+    assert list((out / "graph" / "errors").glob("*.parquet")) == []
+
+
+@pytest.mark.parametrize("cpus", [4, 1])
+def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads, cpus):
+    """The extract reads' block floor is ceil(cluster CPUs / partitions
+    written together): with 2 pending partitions it is 2 blocks at 4 CPUs
+    and 1 at 1 CPU; a lone re-extracted partition (its input file touched,
+    as on ``append``) reads as one block per CPU. Each extract manifest row
+    records the bytes and blocks its reads were sized to. A resumed run
+    with nothing pending reads nothing."""
+    import os
+    import shutil
+
+    import ray
+
+    from portuguese_pt_legal_ner_ray.state.manifest import Manifest
+
+    if cpus == 1:
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    inp = tmp_path / "in"
+    shutil.copytree(mini_run["input"], inp)
+    out = tmp_path / "out"
+
+    def extract_floors() -> list[int]:
+        floors = [r["min_blocks"] for r in kg_reads["sized"]
+                  if isinstance(r["paths"], list)]
+        kg_reads["sized"].clear()
+        return floors
+
+    kg.run_kg_pipeline(inp, out, num_partitions=2)
+    assert extract_floors() == [-(-cpus // 2)] * 4
+    rows = [r for r in Manifest(out).all_records() if r["stage"] == "extract"]
+    assert [r["blocks"] for r in rows] == [-(-cpus // 2)] * 2
+    assert all(r["in_bytes"] == sum(Path(f).stat().st_size for f in r["input_files"])
+               for r in rows)
+
+    touched = sorted(inp.glob("*.parquet"))[0]
+    st = touched.stat()
+    os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+    kg.run_kg_pipeline(inp, out, num_partitions=2)
+    assert extract_floors() == [cpus] * 2
+
+    # a resumed run with nothing pending reads nothing
+    kg.run_kg_pipeline(inp, out, num_partitions=2)
+    assert kg_reads["sized"] == [] and kg_reads["ray"] == (4 + 1) + (2 + 1)

@@ -196,9 +196,10 @@ def test_ner_remote_args_reject_reserved_keys():
 def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     """Changing ner_ray_remote_args (a pure placement knob) must NOT
     invalidate finished partitions on resume. The wall seconds the manifest
-    rows record (each extract row's ``wall_s``, each graph write's phase)
-    and the graph row's link counters sit outside the fingerprint too: the
-    rerun leaves every row as it was."""
+    rows record (each extract row's ``wall_s``, each graph write's phase),
+    the bytes and block count each row's read was sized to (``in_bytes``,
+    ``blocks``) and the graph row's link counters sit outside the
+    fingerprint too: the rerun leaves every row as it was."""
     from portuguese_pt_legal_ner_ray.state.manifest import Manifest
 
     out = tmp_path / "out_fp"
@@ -210,6 +211,7 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
         if r["stage"] == "extract"
     }
     assert all(r["wall_s"] > 0 for r in rows if r["stage"] == "extract")
+    assert all(r["in_bytes"] > 0 and r["blocks"] >= 1 for r in rows)
     graph_before = Manifest(out).read("graph", "all")
     assert {"extract", "link", "nodes", "edges", "spans", "triples", "errors",
             "writes"} <= set(graph_before["phases"])
@@ -227,6 +229,7 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     }
     assert after == before, "placement-only config change recomputed partitions"
     assert Manifest(out).read("graph", "all") == graph_before
+    assert Manifest(out).all_records() == rows
 
 
 def test_gpu_claim_sizes_actor_pool_to_gpu_budget():

@@ -251,6 +251,8 @@ def test_cli_report_and_build(mini_run, capsys, tmp_path):
     assert stages == {"extract", "graph"}
     graph = next(l for l in lines if l["stage"] == "graph")
     assert graph["link_path"] == "driver" and graph["link_pairs"] > 0
+    # every row prints the bytes and block count its read was sized to
+    assert all(l["in_bytes"] > 0 and l["blocks"] >= 1 for l in lines)
     # build on an already-complete out_dir resumes instantly via manifests
     assert main(["build", str(mini_run["input"]), str(mini_run["out"])]) == 0
 

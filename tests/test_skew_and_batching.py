@@ -111,6 +111,53 @@ def test_skewed_hot_cluster_links_fully(ray_session, monkeypatch):
     assert n_comps_oracle < n // 10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_link_verify_shingles_each_key_once(monkeypatch, seed):
+    """Driver-side verification on random keys (groups of spelling
+    variants, so keys sit in many candidate pairs) keeps exactly the pairs
+    a per-pair Jaccard check keeps, and shingles each distinct key of the
+    candidate pairs once."""
+    import random
+
+    from portuguese_pt_legal_ner_ray.functions.minhash import jaccard, shingles
+    from portuguese_pt_legal_ner_ray.stages import linking
+
+    cfg = LinkingConfig()
+    rng = random.Random(seed)
+    keys = set()
+    for g in range(60):
+        base = "".join(rng.choices("abcdefghij", k=rng.randint(6, 14)))
+        label = ("PER", "ORG", "LOC")[g % 3]
+        for _ in range(rng.randint(2, 6)):
+            cut = rng.randint(0, len(base))
+            keys.add(f"{label}|{base[:cut]}{rng.choice(['', ' a', 'x', ' filho'])}"
+                     f"{base[cut:]}")
+    keys = sorted(keys)
+    bands = linking.BandStage(cfg)(pa.table({
+        "key": pa.array(keys, pa.string()),
+        "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
+    }))
+    cand = linking.block_pairs(bands, cfg)
+    k = cfg.shingle_k
+    want = {(a, b) for a, b in cand
+            if jaccard(shingles(a.split("|", 1)[1], k),
+                       shingles(b.split("|", 1)[1], k)) >= cfg.jaccard_threshold}
+    assert len(cand) > len({x for p in cand for x in p})  # keys repeat
+    assert 0 < len(want) < len(cand)
+
+    calls = []
+
+    def counted(text, k=3):
+        calls.append(text)
+        return shingles(text, k)
+
+    monkeypatch.setattr(linking, "shingles", counted)
+    got = linking._driver_pairs(keys, cfg)
+    assert sorted(got) == sorted(want) and len(got) == len(set(got))
+    ends = {x.split("|", 1)[1] for p in cand for x in p}
+    assert sorted(calls) == sorted(ends)
+
+
 def test_logits_tagger_pipeline_stage_parity(ray_session):
     """The actor-pool NER stage driven by the logits decode path (the real
     HF wire format) produces span-identical output to the gazetteer path."""

@@ -108,6 +108,35 @@ def test_media_resize_and_frame_plan(ray_session, tmp_path):
     assert frames.groupby("doc_id").size().min() >= 1
 
 
+def test_sized_read_is_metadata_free(ray_session, tmp_path):
+    """A sized read's blocks carry no schema metadata, also over Parquet
+    written via pandas (a ``b'pandas'`` blob) in a hive-partitioned
+    directory, with or without a column projection; a bare read keeps the
+    blob. Callers of ``sized_read_parquet`` need no ``strip_schema_metadata``
+    before a Ray-native ``groupby``/``sort``."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray as _ray
+
+    from portuguese_pt_legal_ner_ray.sources.parquet import read_plan, sized_read_parquet
+
+    root = tmp_path / "ds"
+    for part in ("00000", "00001"):
+        (root / f"part={part}").mkdir(parents=True)
+        pd.DataFrame({"label": ["PER", "ORG"] * 50, "n": range(100)}).to_parquet(
+            root / f"part={part}" / "a.parquet")
+    assert pq.read_schema(root / "part=00000" / "a.parquet").metadata
+    bare = _ray.get(_ray.data.read_parquet(str(root)).to_arrow_refs())
+    assert any(b.schema.metadata for b in bare)
+    for cols in (None, ["label"]):
+        blocks = _ray.get(sized_read_parquet(str(root), columns=cols).to_arrow_refs())
+        assert len(blocks) == 1 and blocks[0].num_rows == 200
+        assert blocks[0].schema.metadata is None
+    size = sum(f.stat().st_size for f in root.glob("**/*.parquet"))
+    assert read_plan(str(root)) == (size, 1)
+    assert read_plan(str(root), min_blocks=4) == (size, 4)
+
+
 def test_sized_read_parquet_block_budget(ray_session, tmp_path):
     """Block count follows input BYTES (floor min_blocks, cap max_blocks),
     not the CPU-derived default that over-splits small tables."""
@@ -153,3 +182,22 @@ def test_sized_read_parquet_block_budget(ray_session, tmp_path):
         assert seen["n"] == -(-size // 1024)  # pure byte budget
     finally:
         _ray.data.read_parquet = orig
+
+
+def test_one_parquet_read_path():
+    """Every Parquet read of the package, the driver contract, ``bench.py``
+    and ``scripts/`` goes through ``sized_read_parquet``: no bare
+    ``read_parquet(`` call outside ``sources/parquet.py``. DuckDB's SQL
+    ``read_parquet('...')`` is not a Ray read and does not count."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    files = [*sorted((root / "portuguese_pt_legal_ner_ray").rglob("*.py")),
+             root / "__ray_entry__.py", root / "bench.py",
+             *sorted((root / "scripts").glob("*.py"))]
+    hits = [p.relative_to(root).as_posix()
+            for p in files
+            for line in p.read_text().splitlines()
+            if re.search(r"""\bread_parquet\((?!['"])""", line)]
+    assert hits == ["portuguese_pt_legal_ner_ray/sources/parquet.py"], hits
