@@ -404,7 +404,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def events_running_total(sf_dir: str):
         """Ordered analytic window (SUM OVER PARTITION BY ... ORDER BY):
-        key-bucketed exchange + one vectorized cumsum per bucket."""
+        key-bucketed exchange + one vectorized cumsum per sorted block."""
         from portuguese_pt_legal_ner_ray.stages.windows import cumulative_window
 
         return cumulative_window(_events(sf_dir))

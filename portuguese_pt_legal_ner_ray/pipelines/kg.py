@@ -59,6 +59,7 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 
@@ -150,7 +151,9 @@ def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float
     """Write each ``(dataset, dir)`` job to Parquet from driver threads, up
     to ``min(jobs, cluster CPUs)`` jobs at a time.
 
-    A one-CPU Ray therefore runs them one at a time. Yields each job's
+    A one-CPU Ray therefore runs them one at a time. A job with no rows is
+    written as one zero-row file with its columns (``empty.parquet``), so
+    every table the pipeline lists can be read. Yields each job's
     ``(start, end)`` ``perf_counter`` seconds in job order, as soon as the
     job and every job before it have finished. The Datasets must already
     be built: only their executions run in the threads. If a job raises,
@@ -163,6 +166,11 @@ def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float
     def write(ds: Dataset, path: Path) -> tuple[float, float]:
         start = time.perf_counter()
         ds.write_parquet(str(path))
+        if not any(path.glob("*.parquet")):
+            # Ray writes no file for a Dataset with no rows
+            path.mkdir(parents=True, exist_ok=True)
+            pq.write_table(ds.schema().base_schema.empty_table(),
+                           path / "empty.parquet")
         return start, time.perf_counter()
 
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="kg-write")

@@ -16,7 +16,9 @@ raw text, when ``by_fingerprint=True``; LSH shuffles one row per (doc, band).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 from ray.data.aggregate import Count, Min
 
@@ -92,11 +94,52 @@ def dedup_apply(docs: Dataset, text_col: str = "text", id_col: str = "doc_id") -
         g = g.sort_values(["fingerprint", id_col], kind="stable")
         return g.drop_duplicates("fingerprint")[[id_col, text_col]]
 
-    # route by fingerprint hash so the keep-first runs once per BUCKET
-    # (vectorized sort + drop_duplicates), not once per distinct text
+    # route by fingerprint hash so the keep-first runs once per sorted
+    # block of buckets (vectorized sort + drop_duplicates), not once per
+    # distinct text
     return exchange(
         docs.select_columns([id_col, text_col]).map_batches(fp, batch_format="pyarrow"),
         ["fingerprint"], keep_first, batch_format="pandas")
+
+
+def run_pairs(keys: pa.Array | pa.ChunkedArray, ids: np.ndarray,
+              dense_cap: int | None = None, window: int = 0,
+              max_run: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """THE pair kernel of both near-dup operators: candidate pairs among
+    rows that share a key, with no Python loop over keys.
+
+    Rows are sorted by (key, id), so each distinct key is one run in id
+    order. A run pairs each row with every later row of the run, or, when
+    the run is longer than ``dense_cap``, with at most ``window`` later
+    rows (a sorted-neighbourhood window). A run longer than ``max_run`` is
+    capped: it emits nothing and is counted instead. Runs of one row emit
+    nothing.
+
+    Returns ``(left, right, n_capped)``: the row indices (into ``keys`` /
+    ``ids``) of every pair, with ``ids[left] <= ids[right]``, and the
+    number of capped runs.
+    """
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    codes = pc.dictionary_encode(keys).indices.to_numpy()
+    order = np.lexsort((ids, codes))
+    n = len(order)
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    lengths = np.diff(np.r_[starts, n])
+    capped = (lengths > max_run if max_run is not None
+              else np.zeros(len(lengths), dtype=bool))
+    span = lengths - 1
+    if dense_cap is not None:
+        span = np.where(lengths > dense_cap, np.minimum(span, window), span)
+    span[capped] = 0
+    # pairs each sorted row opens: later rows of its run, up to the span
+    pos = np.arange(n) - np.repeat(starts, lengths)
+    opens = np.minimum(np.repeat(span, lengths), np.repeat(lengths, lengths) - 1 - pos)
+    left = np.repeat(np.arange(n), opens)
+    first = np.repeat(np.cumsum(opens) - opens, opens)
+    right = left + 1 + np.arange(len(left)) - first
+    return order[left], order[right], int(capped.sum())
 
 
 class MinhashBandStage:
@@ -149,23 +192,14 @@ def minhash_lsh_pairs(
     stage = MinhashBandStage(cfg=cfg, text_col=text_col)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"band": group["band"].to_pandas(),
-                           "doc_id": group["doc_id"].to_pandas()})
-        a, b = [], []
-        for _, ids_s in df.groupby("band", sort=False)["doc_id"]:
-            ids = sorted(ids_s)
-            n = len(ids)
-            for i in range(n):
-                hi = n if n <= dense_bucket_cap else min(i + 1 + cfg.window, n)
-                for j in range(i + 1, hi):
-                    a.append(ids[i])
-                    b.append(ids[j])
-        return pa.table({"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())})
+        ids = group["doc_id"].to_numpy()
+        left, right, _ = run_pairs(group["band"], ids, dense_cap=dense_bucket_cap,
+                                   window=cfg.window)
+        return pa.table({"id_a": pa.array(ids[left], pa.int64()),
+                         "id_b": pa.array(ids[right], pa.int64())})
 
     # route whole LSH bands by band-hash so pair generation runs once per
-    # BUCKET (64 UDF calls) instead of once per band (one Python call per
+    # sorted block of bands, not once per band (one Python call per
     # distinct band key — tens of thousands)
     raw_pairs = exchange(docs.map_batches(stage, batch_format="pyarrow"),
                          ["band"], bucket_pairs)
@@ -174,8 +208,6 @@ def minhash_lsh_pairs(
         return grouped_count(raw_pairs, ["id_a", "id_b"]).select_columns(
             ["id_a", "id_b"]
         )
-
-    import numpy as np
 
     from ..functions.minhash import _gram_hashes
     from .joins import hash_join
@@ -261,9 +293,10 @@ def ngram_jaccard_pairs(
        ``str.split`` tokens — process-stable, unlike pyarrow's whitespace
        split), one ``(gram, doc_id, doc_gram_count)`` row per gram,
        bucket-routed by gram hash.
-    2. Per gram (vectorized upper-triangle per group, one Python loop
-       iteration per DISTINCT gram in the bucket): emit every co-occurring
-       doc pair, both docs' set sizes riding along.
+    2. Per sorted block of gram buckets, :func:`run_pairs` emits every
+       co-occurring doc pair of every gram at once (one lexsort by (gram,
+       id), then index arithmetic, no loop over grams), both docs' set
+       sizes riding along.
     3. One ``grouped_agg`` per pair: the pair's row count IS ``|A∩B|``
        (each shared gram lives in exactly one bucket and emits the pair
        once); keep pairs with ``ni / (na + nb - ni) >= threshold``.
@@ -281,8 +314,6 @@ def ngram_jaccard_pairs(
     Docs with fewer than ``n`` tokens have no grams and never pair (the SQL
     oracle agrees by construction).
     """
-    import numpy as np
-
     from .shuffle import exchange, grouped_agg
 
     def gram_rows(batch: pa.Table) -> pa.Table:
@@ -301,55 +332,19 @@ def ngram_jaccard_pairs(
         })
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({
-            "gram": group["gram"].to_pandas(),
-            "id": group[id_col].to_pandas(),
-            "sz": group["sz"].to_pandas(),
-        })
-        a_out, b_out, na_out, nb_out = [], [], [], []
-        n_capped = 0
-        for _, g in df.groupby("gram", sort=False):
-            if len(g) > max_gram_df:
-                n_capped += 1
-                continue
-            if len(g) < 2:
-                continue
-            order = np.argsort(g["id"].to_numpy())
-            ids = g["id"].to_numpy()[order]
-            sz = g["sz"].to_numpy()[order]
-            iu, ju = np.triu_indices(len(ids), k=1)
-            a_out.append(ids[iu])
-            b_out.append(ids[ju])
-            na_out.append(sz[iu])
-            nb_out.append(sz[ju])
+        ids = group[id_col].to_numpy()
+        sz = group["sz"].to_numpy()
+        left, right, n_capped = run_pairs(group["gram"], ids, max_run=max_gram_df)
+        one = np.ones(len(left), dtype=np.int64)
+        cols = [ids[left], ids[right], sz[left], sz[right], one]
         if n_capped:
             # sentinel pair key (-1, -1): rides the normal shuffle, its "one"
-            # carries this bucket's capped-gram count so grouped_agg sums the
+            # carries this call's capped-gram count so grouped_agg sums the
             # global total — no side channel, no extra pass
-            a_out.append(np.array([-1], dtype=np.int64))
-            b_out.append(np.array([-1], dtype=np.int64))
-            na_out.append(np.array([1], dtype=np.int64))
-            nb_out.append(np.array([1], dtype=np.int64))
-        if not a_out:
-            return pa.table({
-                "id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                "na": pa.array([], pa.int64()), "nb": pa.array([], pa.int64()),
-                "one": pa.array([], pa.int64()),
-            })
-        cat = np.concatenate
-        k = len(cat(a_out))
-        ones = np.ones(k, dtype=np.int64)
-        if n_capped:
-            ones[-1] = n_capped  # sentinel row carries the capped count
-        return pa.table({
-            "id_a": pa.array(cat(a_out), pa.int64()),
-            "id_b": pa.array(cat(b_out), pa.int64()),
-            "na": pa.array(cat(na_out), pa.int64()),
-            "nb": pa.array(cat(nb_out), pa.int64()),
-            "one": pa.array(ones),
-        })
+            sentinel = np.array([-1, -1, 1, 1, n_capped], dtype=np.int64)
+            cols = [np.append(c, v) for c, v in zip(cols, sentinel)]
+        return pa.table([pa.array(c, pa.int64()) for c in cols],
+                        names=["id_a", "id_b", "na", "nb", "one"])
 
     pair_stats = grouped_agg(
         exchange(docs.select_columns([id_col, text_col])
@@ -369,7 +364,6 @@ def _ngram_keep(t: "pa.Table", threshold: float, max_gram_df: int) -> "pa.Table"
     """Final Jaccard filter for :func:`ngram_jaccard_pairs`; surfaces the
     capped-gram sentinel (id_a == id_b == -1) as a ``UserWarning`` instead
     of silently dropping it."""
-    import numpy as np
     import warnings
 
     id_a = t["id_a"].to_numpy(zero_copy_only=False)

@@ -9,15 +9,15 @@ the target pipeline adds broadcast lookups and a partitioned hash join).
   EXISTS, NOT EXISTS). All four are thin wrappers over ONE bucketed plan
   (the "join over UNION ALL" shape): both sides are tagged by source and
   handed to ``shuffle.exchange`` on the (single or composite) key, which
-  unions them and gathers each bucket, and the bucket is resolved by ONE
-  Arrow ``Table.join`` over the key columns plus a row-index column;
-  payloads are then gathered with ``take``. SQL null semantics (a null
-  key matches nothing), exact int64 payloads (no pandas float promotion)
-  and list payloads (which ``Table.join`` rejects as non-key fields) all
-  follow from that shape. Null-key rows never join, so they are dropped
-  before the exchange, or, where the join keeps them (left outer/anti),
-  dealt round-robin over the buckets (``bucket_by(spread_nulls=True)``)
-  instead of piling into one hot bucket.
+  unions them and sorts the buckets into blocks, and each block of whole
+  buckets is resolved by ONE Arrow ``Table.join`` over the key columns plus
+  a row-index column; payloads are then gathered with ``take``. SQL null
+  semantics (a null key matches nothing), exact int64 payloads (no pandas
+  float promotion) and list payloads (which ``Table.join`` rejects as
+  non-key fields) all follow from that shape. Null-key rows never join, so
+  they are dropped before the exchange, or, where the join keeps them (left
+  outer/anti), dealt round-robin over the buckets
+  (``bucket_by(spread_nulls=True)``) instead of piling into one hot bucket.
 """
 
 from __future__ import annotations
@@ -267,12 +267,12 @@ def hash_join(ds_a, ds_b, key, bucket_post=None):
 
     Used when neither side fits a broadcast (e.g. canonical-id application
     at 10^12-doc scale). ``bucket_post``: optional ``pa.Table -> pa.Table``
-    applied to each bucket's joined table INSIDE the join stage — fuses a
-    post-join transform (filter/projection) so wide joined payloads (e.g.
-    both shingle arrays of a candidate pair) are consumed where they were
-    joined instead of being re-blocked and shipped to a separate stage. The
-    callback owns the output schema (return the same schema for every
-    bucket, empty ones included).
+    applied to each sorted block's joined table INSIDE the join stage —
+    fuses a post-join transform (filter/projection) so wide joined payloads
+    (e.g. both shingle arrays of a candidate pair) are consumed where they
+    were joined instead of being re-blocked and shipped to a separate stage.
+    The callback owns the output schema (return the same schema for every
+    block, empty ones included).
     """
     return _bucketed_join(ds_a, ds_b, key, "inner", bucket_post)
 

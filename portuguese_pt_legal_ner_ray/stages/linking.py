@@ -149,10 +149,10 @@ def candidate_pairs(bands_ds: Dataset, cfg: LinkingConfig) -> Dataset:
     """Per-block deterministic pairing, then global pair dedup + verify.
 
     Blocks are routed by ``hash(label, band_key) % 64`` and paired with ONE
-    UDF call per bucket (``block_pairs`` over the whole bucket), never one
-    Ray UDF call per distinct band — at web scale there are ~num_bands ×
-    distinct entities bands, and Ray's per-group ``map_groups`` pays
-    per-key task overhead. The pair dedup is the bucketed
+    UDF call per sorted block of whole buckets (``block_pairs`` over all of
+    it), never one Ray UDF call per distinct band — at web scale there are
+    ~num_bands × distinct entities bands, and Ray's per-group ``map_groups``
+    pays per-key task overhead. The pair dedup is the bucketed
     ``grouped_count`` for the same reason.
     """
 

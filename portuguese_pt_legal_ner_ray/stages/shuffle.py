@@ -7,11 +7,13 @@
   utf-8 buffer of the joined key columns (process-stable, unlike
   ``hash()``) modulo :data:`NUM_BUCKETS` — so the all-to-all sorts a
   small int key instead of multi-column strings; a list of inputs is
-  unioned; and one UDF call per bucket sees every row of its keys.
+  unioned; the union is sorted on ``__bucket``; and one UDF call per
+  sorted block sees every row of each key it holds (one or more whole
+  buckets, never a part of one).
 * ``grouped_count`` / ``grouped_count_distinct`` / ``grouped_agg`` put a
   *combiner* in front of it: per-batch Arrow ``Table.group_by`` (C++ hash
   aggregation), so the shuffle moves partial aggregates, never raw rows,
-  and one Arrow group_by per bucket merges the partials.
+  and one Arrow group_by per sorted block merges the partials.
 
 All aggregates used are decomposable (min/max/sum/count as sum), so results
 are exact at any parallelism (each key hashes to exactly one bucket).
@@ -164,16 +166,20 @@ def _canonical_floats(tbl: pa.Table, cols: list[str]) -> pa.Table:
 def exchange(inputs: Dataset | list[Dataset], keys: list[str], per_bucket,
              batch_format: str = "pyarrow", spread_nulls: bool = False) -> Dataset:
     """THE bucketed shuffle: every row with equal ``keys`` reaches the same
-    ``per_bucket`` call, which sees a whole bucket of keys at once (one UDF
-    call per bucket, never one per key).
+    ``per_bucket`` call, which gets every row of each key it sees, for one
+    or more whole buckets (one UDF call per sorted block, never one per
+    key or per bucket).
 
     1. each input is tagged with :func:`bucket_by` in a whole-block
        ``map_batches``, which fuses into the upstream map (float keys are
        canonicalized first, see :func:`_canonical_floats`);
     2. a list of inputs is unioned (the "tag, union, partition" join plan);
-    3. one ``map_groups`` over the ``__bucket`` column gathers each bucket;
-    4. ``per_bucket`` gets the bucket without ``__bucket``, as a
-       ``batch_format`` batch ("pyarrow" or "pandas").
+    3. a sort on the ``__bucket`` column range-partitions the union, so
+       one bucket is never split across output blocks (the sort shuffle
+       Ray's ``groupby().map_groups`` runs, minus its per-group slicing);
+    4. ``per_bucket`` gets each whole sorted block without ``__bucket``,
+       as a ``batch_format`` batch ("pyarrow" or "pandas"). Ray passes an
+       empty block through without calling it.
 
     The bucket count is :data:`NUM_BUCKETS`, read here in the driver and
     captured by the tag closure (a worker importing the module would not
@@ -199,7 +205,7 @@ def exchange(inputs: Dataset | list[Dataset], keys: list[str], per_bucket,
         return per_bucket(g)
 
     run.__name__ = getattr(per_bucket, "__name__", "per_bucket")
-    return ds.groupby("__bucket").map_groups(run, batch_format="pyarrow")
+    return ds.sort("__bucket").map_batches(run, batch_format="pyarrow", batch_size=None)
 
 
 def _agg_select(g: pa.Table, cols: list[str], agg_names: list[str],

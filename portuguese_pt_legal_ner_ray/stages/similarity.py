@@ -130,10 +130,11 @@ def _topk_reduce(partials: Dataset, k: int, exclude_self: bool = True) -> Datase
     """Shared per-query final reduce over (query_id, vec_id, sim) partials:
     top-k by (sim desc, vec_id asc), optionally dropping the self-hit.
 
-    Queries route by ``hash(query_id) % buckets`` and ONE vectorized
-    pandas pass per bucket (sort + ``groupby.head(k)``) finishes every
-    query it holds — never one Python call per query id, so the reduce
-    stays flat when a caller broadcasts millions of query vectors."""
+    Queries route by ``hash(query_id) % buckets`` and ONE vectorized pandas
+    pass per sorted block of whole buckets (sort + ``groupby.head(k)``)
+    finishes every query it holds — never one Python call per query id, so
+    the reduce stays flat when a caller broadcasts millions of query
+    vectors."""
     import pandas as pd
 
     from .shuffle import exchange

@@ -201,9 +201,9 @@ def grouped_quantiles(ds: Dataset, group_cols: list[str], value_col: str,
     shuffle builds the per-(group, value) histogram — the exchange carries
     one row per DISTINCT (group, value), never one per input row — then the
     histograms are bucket-routed BY GROUP so each group's rows co-locate,
-    and one vectorized-pandas UDF per bucket cumsums and rank-picks every
-    group it holds (a Python loop per group inside the bucket, the accepted
-    per-bucket pattern — never one Ray task per group). Same
+    and one vectorized-pandas UDF per sorted block of whole buckets cumsums
+    and rank-picks every group it holds (a Python loop per group inside the
+    call, the accepted pattern — never one Ray task per group). Same
     bounded-value-cardinality caveat as :func:`histogram_quantiles`.
     """
     import math

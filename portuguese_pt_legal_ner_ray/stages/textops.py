@@ -178,7 +178,7 @@ def top_terms_per_doc(docs, k: int = 3, text_col: str = "text",
     4. ``hash_join`` df back onto tf (vocabulary-scale side — a broadcast
        would not hold at web scale);
     5. per-doc top-k: per-batch combiner head-k, then doc-bucketed final
-       head-k — one vectorized pandas pass per bucket.
+       head-k — one vectorized pandas pass per sorted block of buckets.
     """
     import pandas as pd
 

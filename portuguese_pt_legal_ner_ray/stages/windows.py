@@ -9,10 +9,10 @@ operators a training-data pipeline needs, expressed as Dataset compositions:
   so results are identical at any parallelism, and each merge is one Arrow
   ``group_by`` rather than Ray's native aggregate, which took 3-4 s on one
   block of 100k events where this takes 0.3 s (BASELINE.md).
-* ``sessionize``, ``asof_last_event``, ``cumulative_window``,
-  ``lag_window`` — per-user ordered scans: one ``shuffle.exchange`` on the
-  partition key, then one sort and vectorized scans per bucket. Partitions
-  follow SQL ``PARTITION BY`` (a null key is one partition).
+* ``sessionize``, ``asof_last_event``, ``cumulative_window``, ``lag_window``
+  — per-user ordered scans: one ``shuffle.exchange`` on the partition key,
+  then one sort and vectorized scans per sorted block of whole buckets.
+  Partitions follow SQL ``PARTITION BY`` (a null key is one partition).
 """
 
 from __future__ import annotations
@@ -119,10 +119,11 @@ def sessionize(events: Dataset, gap_minutes: int = 30) -> Dataset:
     session_end). A new session starts when the time since the previous
     event of the same user exceeds ``gap_minutes``.
 
-    The shuffle routes users by ``hash(user_id) % buckets`` and each bucket
-    sessionizes ALL its users with one sort and vectorized numpy scans —
-    one UDF call per bucket, never one per user (a per-user ``map_groups``
-    costs a Python call per user id, ruinous at web-scale user counts).
+    The shuffle routes users by ``hash(user_id) % buckets`` and each UDF
+    call sessionizes ALL users of the whole buckets it holds with one sort
+    and vectorized numpy scans — one call per sorted block, never one per
+    user (a per-user ``map_groups`` costs a Python call per user id,
+    ruinous at web-scale user counts).
     """
     from .shuffle import exchange
 
@@ -159,9 +160,9 @@ def asof_last_event(events: Dataset, match_type: str = "click",
 
     Ray Data has no native as-of join; the composition is the partitioned
     sorted-merge pattern: route users by hash (same exchange as
-    ``sessionize``), sort each bucket once by (user, ts, event_id), carry
+    ``sessionize``), sort each block once by (user, ts, event_id), carry
     the last ``of_type`` row forward with a running max of row indices,
-    and emit the ``match_type`` rows. One UDF call per bucket; the
+    and emit the ``match_type`` rows. One UDF call per sorted block; the
     partitioning assumption is one user's events fit a worker (salt users
     if a single user's history outgrows that).
     """
@@ -189,13 +190,13 @@ def cumulative_window(events: Dataset, key_col: str = "user_id",
     ``SUM(value) OVER (PARTITION BY key ORDER BY ts, event_id
     ROWS UNBOUNDED PRECEDING)``.
 
-    Same exchange as :func:`sessionize`: keys route by
-    ``hash(key) % buckets`` so each key's full history co-locates, then one
-    vectorized UDF per bucket (sort + per-partition ``cumsum``) computes
-    every key it holds — never one task per key. The tie-break column in
-    ``order_cols`` makes the prefix order (and therefore every running
-    value) deterministic at any parallelism. Output: one row per input
-    event with the running aggregate attached.
+    Same exchange as :func:`sessionize`: keys route by ``hash(key) %
+    buckets`` so each key's full history co-locates, then one vectorized UDF
+    per sorted block (sort + per-partition ``cumsum``) computes every key it
+    holds — never one task per key. The tie-break column in ``order_cols``
+    makes the prefix order (and therefore every running value) deterministic
+    at any parallelism. Output: one row per input event with the running
+    aggregate attached.
     """
     from .shuffle import exchange
 
@@ -223,11 +224,11 @@ def lag_window(events: Dataset, key_col: str = "user_id",
     OVER (PARTITION BY key ORDER BY ts, event_id)`` (negative ``offset``
     gives LEAD). First/last rows of each key get nulls, as in SQL.
 
-    Same exchange as :func:`cumulative_window`: keys route by
-    ``hash(key) % buckets`` so each key's full history co-locates, then one
-    vectorized UDF per bucket (sort + per-partition ``shift``) serves
-    every key it holds — never one task per key. Deterministic at any
-    parallelism via the tie-break column in ``order_cols``.
+    Same exchange as :func:`cumulative_window`: keys route by ``hash(key) %
+    buckets`` so each key's full history co-locates, then one vectorized UDF
+    per sorted block (sort + per-partition ``shift``) serves every key it
+    holds — never one task per key. Deterministic at any parallelism via the
+    tie-break column in ``order_cols``.
     """
     from .shuffle import exchange
 

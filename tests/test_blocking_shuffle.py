@@ -786,13 +786,13 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     right = pa.table({"k": [None if i % 2 else f"k{2 * i}" for i in range(n // 2)],
                       "w": pa.array(range(n // 2), pa.int64())})
     exchanged = []
-    orig = Dataset.groupby
+    orig = Dataset.sort
 
     def spy(self, key, *a, **kw):
         exchanged.append(self)
         return orig(self, key, *a, **kw)
 
-    monkeypatch.setattr(Dataset, "groupby", spy)
+    monkeypatch.setattr(Dataset, "sort", spy)
 
     def run(join):
         exchanged.clear()

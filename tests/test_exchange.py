@@ -88,18 +88,48 @@ def test_exchange_unions_inputs_and_hides_bucket(ray_session, monkeypatch):
             assert len(calls) <= nb, (fmt, nb, len(calls))
 
 
+def test_exchange_calls_per_bucket_once_per_sorted_block(ray_session, monkeypatch):
+    """A one-block input over 64 buckets makes ONE ``per_bucket`` call,
+    not one per bucket, and that call holds every row of every key."""
+    import ray
+
+    from portuguese_pt_legal_ner_ray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "NUM_BUCKETS", 64)
+    t = pa.table({"k": [f"k{i % 200}" for i in range(1000)]})
+    buckets = shuffle.bucket_by(t, ["k"], 64)["__bucket"].to_pylist()
+    assert len(set(buckets)) > 32  # the block really spans many buckets
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        keys = g["k"].to_pylist()
+        distinct = sorted(set(keys))
+        return pa.table({"k": distinct, "n": [keys.count(k) for k in distinct],
+                         "call": [uuid.uuid4().hex] * len(distinct)})
+
+    rows = _rows(shuffle.exchange(ray.data.from_arrow(t), ["k"], per_bucket),
+                 ["k", "n", "call"])
+    assert sorted((k, n) for k, n, _ in rows) == [(f"k{i}", 5) for i in sorted(
+        range(200), key=lambda i: f"k{i}")]
+    assert len({c for *_, c in rows}) == 1
+
+
 def test_package_has_one_bucket_exchange():
     """Every bucketed shuffle goes through ``shuffle.exchange``: the package
-    holds exactly one ``groupby("__bucket")``, and no public function but
-    the routing kernel ``bucket_by`` takes a bucket count."""
+    holds exactly one ``sort("__bucket")``, in ``stages/shuffle.py``, and no
+    ``groupby("__bucket")``; and no public function but the routing kernel
+    ``bucket_by`` takes a bucket count."""
     import importlib
     import inspect
 
-    hits = [(p.relative_to(PKG).as_posix(), n)
-            for p in sorted(PKG.rglob("*.py"))
-            for n, line in enumerate(p.read_text().splitlines(), 1)
-            if re.search(r"""groupby\(\s*\[?\s*["']__bucket""", line)]
-    assert len(hits) == 1 and hits[0][0] == "stages/shuffle.py", hits
+    def hits(pattern: str) -> list[tuple[str, int]]:
+        return [(p.relative_to(PKG).as_posix(), n)
+                for p in sorted(PKG.rglob("*.py"))
+                for n, line in enumerate(p.read_text().splitlines(), 1)
+                if re.search(pattern, line)]
+
+    sorts = hits(r"""sort\(\s*\[?\s*["']__bucket""")
+    assert len(sorts) == 1 and sorts[0][0] == "stages/shuffle.py", sorts
+    assert hits(r"""groupby\(\s*\[?\s*["']__bucket""") == []
 
     takers = []
     for p in sorted(PKG.rglob("*.py")):

@@ -56,6 +56,19 @@ def test_graph_tables_match_oracle(mini_run, name):
     _assert_table_equal(mini_run["out"], mini_run["golden"], name)
 
 
+def test_empty_errors_table_reads_as_zero_rows(mini_run):
+    """No paragraph of the 200-page run fails, and ``graph/errors`` is still
+    there: zero rows with the table's columns, readable by the pipeline's
+    own reader too."""
+    from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
+
+    errors = mini_run["out"] / "graph" / "errors"
+    t = pads.dataset(errors).to_table()
+    assert t.num_rows == 0
+    assert t.column_names == ["url", "para_idx", "error"]
+    assert sized_read_parquet(str(errors)).count() == 0
+
+
 def test_triple_set_precision_recall(mini_run):
     """The north-rule metric: (subj, pred, obj) set P/R >= 0.95 (here 1.0)."""
     got_t = pads.dataset(mini_run["out"] / "graph" / "triples").to_table()

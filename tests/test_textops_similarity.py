@@ -527,6 +527,61 @@ def test_ngram_cap_sentinel_warns_and_is_stripped():
     assert out3.to_pydict() == {"id_a": [-1], "id_b": [2]}
 
 
+
+def _brute_run_pairs(keys, ids, dense_cap=None, window=0, max_run=None):
+    """``dedup.run_pairs`` by itertools: each key's rows in (id, row) order,
+    all i<j pairs, or pairs at most ``window`` apart above ``dense_cap``."""
+    import itertools
+
+    runs: dict = {}
+    for row, k in enumerate(keys):
+        runs.setdefault(k, []).append(row)
+    pairs, capped = [], 0
+    for rows in runs.values():
+        rows.sort(key=lambda r: ids[r])
+        if max_run is not None and len(rows) > max_run:
+            capped += 1
+            continue
+        wide = dense_cap is not None and len(rows) > dense_cap
+        pairs += [(rows[a], rows[b])
+                  for a, b in itertools.combinations(range(len(rows)), 2)
+                  if not wide or b - a <= window]
+    return sorted(pairs), capped
+
+
+def test_run_pairs_matches_brute_force():
+    """The near-dup pair kernel equals an itertools brute force on random
+    runs: single-row runs, runs above the dense cap (windowed) and above
+    ``max_run`` (counted, exactly), duplicate ids, empty and multi-chunk
+    input."""
+    from portuguese_pt_legal_ner_ray.stages.dedup import run_pairs
+
+    rng = np.random.default_rng(0)
+    cases = [((), {}), ((), {"dense_cap": 2, "window": 1, "max_run": 3})]
+    for _ in range(60):
+        n = int(rng.integers(0, 80))
+        # skewed key pool: a few long runs, many single-row runs
+        keys = [f"g{int(v)}" for v in rng.zipf(1.6, n) % 40]
+        ids = rng.integers(-3, 25, n)  # small range: duplicate ids
+        params = {"dense_cap": int(rng.integers(1, 8)) if rng.random() < 0.5 else None,
+                  "window": int(rng.integers(0, 4)),
+                  "max_run": int(rng.integers(1, 12)) if rng.random() < 0.5 else None}
+        cases.append(((keys, ids), params))
+    total_capped = 0
+    for data, params in cases:
+        keys, ids = data or ([], np.empty(0, np.int64))
+        cut = len(keys) // 3
+        chunked = pa.chunked_array([pa.array(keys[:cut], pa.string()),
+                                    pa.array(keys[cut:], pa.string())])
+        want, want_capped = _brute_run_pairs(keys, list(ids), **params)
+        total_capped += want_capped
+        for arr in (pa.array(keys, pa.string()), chunked):
+            left, right, capped = run_pairs(arr, np.asarray(ids), **params)
+            assert sorted(zip(left.tolist(), right.tolist())) == want, params
+            assert capped == want_capped, params
+            assert (np.asarray(ids)[left] <= np.asarray(ids)[right]).all()
+    assert total_capped > 0
+
 def test_ivf_topk_prunes_unprobed_cells(ray_session):
     """With two well-separated clusters and nprobe=1, results must come only
     from the probed cluster — the unprobed cluster's rows are dropped before
