@@ -683,7 +683,7 @@ def oracle_sql() -> dict[str, str]:
         # engine's distributed partial-set metric reduction
         "kg_triple_pr": f"""
             WITH got AS (SELECT DISTINCT subj, pred, obj
-                         FROM read_parquet('{run}/graph/triples/*.parquet')),
+                         FROM read_parquet('{run}/graph/triples/part=*/*.parquet')),
                  want AS (SELECT DISTINCT subj, pred, obj
                           FROM read_parquet('{p['golden']}/triples.parquet')),
                  m AS (SELECT

@@ -73,7 +73,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         line = {k: rec[k] for k in ("stage", "partition", "engine_version")}
         line.update({k: v for k, v in rec.items()
                      if k in ("pages", "paragraphs", "link_keys", "link_pairs",
-                              "nodes", "edges", "triples", "errors",
+                              "nodes", "edges", "spans", "triples", "errors",
+                              "mentions", "mentions_rows", "mentions_bytes",
                               "link_path", "phases", "wall_s", "in_bytes",
                               "blocks")})
         print(json.dumps(line, sort_keys=True))

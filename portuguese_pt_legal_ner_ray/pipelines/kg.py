@@ -3,10 +3,14 @@ generalized per BASELINE.json north_star).
 
 Layout under ``out_dir``::
 
-    extracted/part=<p>/   url, lang, text          (stage "extract")
-    extraction/part=<p>/  nested paragraph rows     (stage "extract")
-    graph/{spans,triples,errors,nodes,edges}/       (stage "graph")
-    _manifest/            per-(stage, partition) checkpoint rows
+    extracted/part=<p>/       url, lang, text                 (stage "extract")
+    extraction/part=<p>/      nested paragraph rows           (stage "extract")
+    graph/spans/part=<p>/     flattens of the partition's     (stage "extract")
+    graph/triples/part=<p>/     extraction rows, and its
+    graph/errors/part=<p>/      quarantined rows
+    mentions/part=<p>/        mention partials, internal      (stage "extract")
+    graph/{nodes,edges}/      the linked graph                (stage "graph")
+    _manifest/                per-(stage, partition) checkpoint rows
 
 Partitioning: input parquet fragments are grouped into ``num_partitions``
 groups; each group is extracted by two Ray Data write jobs and checkpoints
@@ -15,32 +19,45 @@ row exists (kill-and-resume test in tests/test_kill_resume.py). At 100 TB
 the partition is the unit of retry (~TB-scale file groups), while Ray's
 streaming executor parallelizes freely *within* each group.
 
+A partition's NER job ends in one multi-table sink (``TablesSink``): each
+write task writes one file per table for the blocks it gets — the nested
+rows to ``extraction/``, their span and triple flattens and quarantined
+rows to ``graph/{spans,triples,errors}/``, and their mention partials to
+``mentions/``. Those four are row-wise functions of ``extraction/``, so
+writing them where the rows already are saves the graph stage a re-read
+of it; an ``append`` leaves the old partitions' files as they are.
+
 Independent write jobs run at the same time, from driver threads, up to one
 per cluster CPU (``_run_writes``): the write jobs of every pending
-partition, and the five graph-table writes after linking. A small job keeps
-only one or two of the cluster's CPUs busy, so run one after another they
-leave most CPUs idle. Every Dataset is built in the calling thread first;
-only the executions fan out.
+partition, and the ``nodes`` and ``edges`` writes after linking. A small job
+keeps only one or two of the cluster's CPUs busy, so run one after another
+they leave most CPUs idle. Every Dataset is built in the calling thread
+first; only the executions fan out.
 
 Every read is byte-sized (``sources/parquet.sized_read_parquet``: one block
 per 32 MB). Concurrent jobs compete for the same CPUs, so the tasks each one
 schedules set the wall time, not its bytes: Ray's default read splits an
 80 KB page file into 8 blocks. The graph stage and the JSONL export read
-``extraction/`` with no block floor. The extract reads take a derived floor,
+with no block floor. The extract reads take a derived floor,
 ``ceil(cluster CPUs / partitions written together)`` (``_read_floor``): one
 block per partition in a full crawl, every CPU for a lone re-extracted
 partition, whose NER a real model would otherwise run on one core.
 
-The wide section (linking + graph) runs once over all extraction output —
-its inputs (distinct entities, triples) are orders of magnitude smaller than
-the corpus.
+The wide section (linking + graph) runs once over all partitions' mention
+partials and triples — its inputs (distinct entities, triples) are orders
+of magnitude smaller than the corpus. It runs two Ray jobs, ``nodes`` and
+``edges``; linking reads ``mentions/`` with pyarrow in the driver unless it
+is above ``linking.DRIVER_CC_MAX_KEYS`` rows.
 
 Every stage runs on Ray task workers; there is no actor pool, so no stage
 holds CPUs that read tasks wait for (the pipeline progresses on a
 one-CPU Ray). Stateful steps (the NER tagger, the mention-key memo) keep
 their state per worker process instead. Of the tables the pipeline writes,
-only ``extraction/`` is read back: ``extracted/`` and
-``graph/{spans,triples,errors}`` are outputs for queries and users.
+only ``mentions/`` and ``graph/triples`` are read back, by the graph stage:
+``extracted/``, ``extraction/`` and ``graph/{spans,errors}`` are outputs
+for queries and users. A table with no rows is one zero-row file in its
+static schema (``empty.parquet``), so every table the pipeline lists can
+be read without a Ray execution to find its columns.
 """
 
 from __future__ import annotations
@@ -53,28 +70,112 @@ import re
 import shutil
 import sys
 import time
-from collections.abc import Iterator
+import uuid
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from ..config import PipelineConfig
 from ..sources.parquet import read_plan, sized_read_parquet
 from ..stages import linking
 from ..stages.extract import (
+    ERRORS_SCHEMA,
+    EXTRACTED_SCHEMA,
+    EXTRACTION_SCHEMA,
+    MENTIONS_SCHEMA,
+    SPANS_SCHEMA,
+    TRIPLES_SCHEMA,
+    error_rows,
     explode_batch,
     extract_text_batch,
     flatten_spans,
     flatten_triples,
     ner_triples_task,
 )
-from ..stages.graph import build_edges, make_apply_comp, nodes_from_comp
+from ..stages.graph import (
+    EDGES_SCHEMA,
+    NODES_SCHEMA,
+    build_edges,
+    make_apply_comp,
+    nodes_from_comp,
+)
 from ..state.manifest import Manifest, parquet_row_count
+
+# The on-disk layout of a run directory, part of the extract fingerprint. A
+# run directory written in an older layout (before ``mentions/`` and the
+# per-partition ``graph/`` flattens) re-extracts every partition instead of
+# failing on a table it does not have.
+LAYOUT_VERSION = 2
+# the tables a partition's NER job writes, each under ``<table>/part=<p>/``
+NER_TABLES = {
+    "extraction": EXTRACTION_SCHEMA,
+    "graph/spans": SPANS_SCHEMA,
+    "graph/triples": TRIPLES_SCHEMA,
+    "graph/errors": ERRORS_SCHEMA,
+    "mentions": MENTIONS_SCHEMA,
+}
+# every per-partition directory: a pending partition's clean slate and the
+# orphan-partition sweep cover all six
+PARTITION_DIRS = ("extracted", *NER_TABLES)
+
+
+def ner_tables(rows: pa.Table) -> list[pa.Table]:
+    """A write task's extraction rows -> its rows of each ``NER_TABLES``
+    table, in that order."""
+    spans = flatten_spans(rows)
+    return [rows, spans, flatten_triples(rows), error_rows(rows),
+            linking.mention_partial_task(spans)]
+
+
+def _whole(rows: pa.Table) -> list[pa.Table]:
+    return [rows]
+
+
+class TablesSink(Datasink[None]):
+    """A Ray Data sink that writes each write task's rows as one Parquet
+    file per table.
+
+    ``tables`` lists each table's directory and schema; ``split`` turns the
+    rows of all the blocks a task gets (one Arrow table) into each table's
+    rows, in that order (by default the one table is the rows). A task
+    writes only its tables with rows. Once the job has finished,
+    ``on_write_complete`` writes one zero-row file in the table's schema
+    (``empty.parquet``) into every directory that has no file, so each
+    table can be read and no Ray execution has to find its columns.
+    """
+
+    def __init__(self, tables: list[tuple[Path, pa.Schema]],
+                 split: Callable[[pa.Table], list[pa.Table]] = _whole):
+        self.dirs = [d for d, _ in tables]
+        self.schemas = [schema for _, schema in tables]
+        self.split = split
+        self.uuid = uuid.uuid4().hex
+
+    def on_write_start(self) -> None:
+        for d in self.dirs:
+            d.mkdir(parents=True, exist_ok=True)
+
+    def write(self, blocks: Iterable, ctx) -> None:
+        got = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+               if t.num_rows]
+        if not got:
+            return
+        name = f"{self.uuid}_{ctx.task_idx:06d}.parquet"
+        for d, rows in zip(self.dirs, self.split(pa.concat_tables(got))):
+            if rows.num_rows:
+                pq.write_table(rows, d / name)
+
+    def on_write_complete(self, write_result) -> None:
+        for d, schema in zip(self.dirs, self.schemas):
+            if not any(d.glob("*.parquet")):
+                pq.write_table(schema.empty_table(), d / "empty.parquet")
 
 
 def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
@@ -147,13 +248,11 @@ def _settle_http_fs_import() -> None:
         sys.modules[name] = None
 
 
-def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float]]:
-    """Write each ``(dataset, dir)`` job to Parquet from driver threads, up
-    to ``min(jobs, cluster CPUs)`` jobs at a time.
+def _run_writes(jobs: list[tuple[Dataset, TablesSink]]) -> Iterator[tuple[float, float]]:
+    """Write each ``(dataset, sink)`` job from driver threads, up to
+    ``min(jobs, cluster CPUs)`` jobs at a time.
 
-    A one-CPU Ray therefore runs them one at a time. A job with no rows is
-    written as one zero-row file with its columns (``empty.parquet``), so
-    every table the pipeline lists can be read. Yields each job's
+    A one-CPU Ray therefore runs them one at a time. Yields each job's
     ``(start, end)`` ``perf_counter`` seconds in job order, as soon as the
     job and every job before it have finished. The Datasets must already
     be built: only their executions run in the threads. If a job raises,
@@ -163,19 +262,14 @@ def _run_writes(jobs: list[tuple[Dataset, Path]]) -> Iterator[tuple[float, float
     width = max(1, min(len(jobs), int(ray.cluster_resources().get("CPU", 1))))
     _settle_http_fs_import()
 
-    def write(ds: Dataset, path: Path) -> tuple[float, float]:
+    def write(ds: Dataset, sink: TablesSink) -> tuple[float, float]:
         start = time.perf_counter()
-        ds.write_parquet(str(path))
-        if not any(path.glob("*.parquet")):
-            # Ray writes no file for a Dataset with no rows
-            path.mkdir(parents=True, exist_ok=True)
-            pq.write_table(ds.schema().base_schema.empty_table(),
-                           path / "empty.parquet")
+        ds.write_datasink(sink)
         return start, time.perf_counter()
 
     pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="kg-write")
     try:
-        futures = [pool.submit(write, ds, path) for ds, path in jobs]
+        futures = [pool.submit(write, ds, sink) for ds, sink in jobs]
         for f in futures:
             yield f.result()
     finally:
@@ -191,15 +285,16 @@ def _read_floor(partitions: int) -> int:
 
 def _extract_jobs(files: list[str], out_dir: Path, part: str,
                   cfg: PipelineConfig, min_blocks: int = 1,
-                  ) -> tuple[list[tuple[Dataset, Path]], dict]:
+                  ) -> tuple[list[tuple[Dataset, TablesSink]], dict]:
     """One partition's two write jobs, built but not run, and the
     ``in_bytes``/``blocks`` their input reads as.
 
     Both stream over the input files: one writes the extracted text
     (``extracted/``), the other carries the text on through explode and NER
-    into ``extraction/``. The second parses the HTML again (a vectorized
-    Arrow kernel) rather than reading ``extracted/`` back; pinning the text
-    in the object store for both jobs measured no faster.
+    into the ``NER_TABLES`` (``ner_tables``). The second parses the HTML
+    again (a vectorized Arrow kernel) rather than reading ``extracted/``
+    back; pinning the text in the object store for both jobs measured no
+    faster.
 
     Each job reads its files with ``sized_read_parquet``: one block per
     32 MB, and at least ``min_blocks``. Callers pass ``_read_floor`` of the
@@ -208,11 +303,10 @@ def _extract_jobs(files: list[str], out_dir: Path, part: str,
     partition (``append``, or ``ner_concurrency`` set) still spreads its
     NER over every CPU.
     """
-    ext_dir = out_dir / "extracted" / f"part={part}"
-    ner_dir = out_dir / "extraction" / f"part={part}"
+    dirs = {name: out_dir / name / f"part={part}" for name in PARTITION_DIRS}
     # a partition whose manifest row is missing may hold partial output from
     # a killed run — idempotent rewrite requires a clean slate
-    for d in (ext_dir, ner_dir):
+    for d in dirs.values():
         if d.exists():
             shutil.rmtree(d)
 
@@ -227,16 +321,27 @@ def _extract_jobs(files: list[str], out_dir: Path, part: str,
         .map_batches(ner_triples_task, **ner_map_batches_kwargs(cfg))
     )
     in_bytes, blocks = read_plan(files, min_blocks=min_blocks)
-    return [(text(), ext_dir), (ner, ner_dir)], {"in_bytes": in_bytes, "blocks": blocks}
+    sinks = (TablesSink([(dirs["extracted"], EXTRACTED_SCHEMA)]),
+             TablesSink([(dirs[name], schema) for name, schema in NER_TABLES.items()],
+                        split=ner_tables))
+    return ([(text(), sinks[0]), (ner, sinks[1])],
+            {"in_bytes": in_bytes, "blocks": blocks})
 
 
 def _partition_row(files: list[str], out_dir: Path, part: str,
                    input_sig: list[list]) -> dict:
+    """A partition's manifest row: its inputs and, from the Parquet
+    footers, the row count of each table it wrote."""
+    def rows(name: str) -> int:
+        return parquet_row_count(out_dir / name / f"part={part}")
+
     return {
         "input_files": files,
         "input_sig": input_sig,
-        "pages": parquet_row_count(out_dir / "extracted" / f"part={part}"),
-        "paragraphs": parquet_row_count(out_dir / "extraction" / f"part={part}"),
+        "pages": rows("extracted"),
+        "paragraphs": rows("extraction"),
+        **{name.rsplit("/", 1)[-1]: rows(name) for name in NER_TABLES
+           if name != "extraction"},
     }
 
 
@@ -263,65 +368,59 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
 
 
 def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
-    """The wide section: extraction → mention partials → linking → nodes/edges.
+    """The wide section: mention partials → linking → nodes/edges.
 
-    ``extraction/`` is the one table read, byte-sized (``sized_read_parquet``,
-    no block floor): its per-row work is light and every consumer is an
-    exchange or a write, so a small run reads it as one block and each
-    graph table is one file. The mention partials are pinned
-    once and feed both linking and nodes. ``linking.link`` turns them into
-    one non-identity key -> component map (banding in the driver, or as Ray
-    tasks above ``linking.DRIVER_CC_MAX_KEYS`` linkable partial rows;
-    union-find in the driver either way), broadcast once to the nodes and
-    edges tasks. ``graph/{spans,triples,errors}`` are written straight from
-    ``extraction/`` and never read back. The five table writes run at the
-    same time (``_run_writes``).
-    Returns the graph manifest row: row counts, ``link_path``, the number
-    of keys and verified pairs linking ran over, the ``extraction/`` read's
-    ``in_bytes`` and ``blocks``, and per-phase wall seconds: ``link``, each
-    table's write job, and ``writes`` for the whole block of writes.
+    It never reads ``extraction/``: the extract jobs wrote its flattens
+    and mention partials per partition. ``linking.link`` turns
+    ``mentions/`` into one non-identity key -> component map (banding in
+    the driver over the keys pyarrow reads, or as Ray tasks above
+    ``linking.DRIVER_CC_MAX_KEYS`` partial rows; union-find in the driver
+    either way), broadcast once to the two Ray jobs, which run at the same
+    time (``_run_writes``): ``nodes`` (``mentions/`` → canonical ids →
+    ``grouped_agg``) and ``edges`` (``graph/triples`` → canonical ids →
+    ``grouped_count``). Both read byte-sized with no block floor, so a
+    small run's ``nodes`` and ``edges`` are one file each. Only those two
+    tables are deleted before the stage runs.
+    Returns the graph manifest row: row counts, the link counters
+    (``link_path``, ``link_keys``, ``link_pairs``, and the rows and bytes
+    of ``mentions/`` it read), the ``in_bytes`` and ``blocks`` of the two
+    jobs' reads, and per-phase wall seconds: ``link``, each job, and
+    ``writes`` for both.
     """
     graph = out_dir / "graph"
-    if graph.exists():
-        shutil.rmtree(graph)
+    mentions, triples = out_dir / "mentions", graph / "triples"
+    for name in ("nodes", "edges"):
+        if (graph / name).exists():
+            shutil.rmtree(graph / name)
     phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    in_bytes, blocks = read_plan(str(out_dir / "extraction"))
-    extraction = sized_read_parquet(
-        str(out_dir / "extraction"),
-        columns=["url", "para_idx", "spans", "triples", "error"])
-    spans = extraction.map_batches(flatten_spans, batch_format="pyarrow")
-    triples = extraction.map_batches(flatten_triples, batch_format="pyarrow")
-    partials = spans.map_batches(linking.mention_partial_task,
-                                 batch_format="pyarrow").materialize()
-    mapping, link_stats = linking.link(partials, cfg.linking)
+    mapping, link_stats = linking.link(mentions, cfg.linking)
     # broadcast only non-identity entries: dicts are not zero-copy in the
     # object store; lookups default to identity
     mapping_ref = ray.put(mapping)
     phases["link"] = time.perf_counter() - t0
+    plans = [read_plan(str(d)) for d in (mentions, triples)]
     nodes = nodes_from_comp(
-        partials.map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
-    # poison-pill quarantine: rows whose tagging failed carry an error
-    # string (never silently dropped entities — SURVEY.md §4); surfaced as
-    # an errors table with url lineage for reprocessing
-    errors = extraction.map_batches(
-        lambda t: t.filter(pc.is_valid(t["error"])).select(["url", "para_idx", "error"]),
-        batch_format="pyarrow",
-    )
-    tables = {"nodes": nodes, "edges": build_edges(triples, mapping_ref),
-              "spans": spans, "triples": triples, "errors": errors}
+        sized_read_parquet(str(mentions), columns=["key", "surface", "n"])
+        .map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
+    edges = build_edges(
+        sized_read_parquet(str(triples), columns=["subj", "pred", "obj",
+                                                   "subj_label", "obj_label"]),
+        mapping_ref)
+    jobs = {"nodes": (nodes, NODES_SCHEMA), "edges": (edges, EDGES_SCHEMA)}
     t = time.perf_counter()
-    timings = _run_writes([(ds, graph / name) for name, ds in tables.items()])
-    for name, (start, end) in zip(tables, timings):
+    timings = _run_writes([(job, TablesSink([(graph / name, schema)]))
+                           for name, (job, schema) in jobs.items()])
+    for name, (start, end) in zip(jobs, timings):
         phases[name] = end - start
     phases["writes"] = time.perf_counter() - t
     return {
         **link_stats,
-        "in_bytes": in_bytes,
-        "blocks": blocks,
+        "in_bytes": sum(b for b, _ in plans),
+        "blocks": sum(n for _, n in plans),
         "phases": {k: round(v, 3) for k, v in phases.items()},
         **{name: parquet_row_count(graph / name)
-           for name in ("nodes", "edges", "triples", "errors")},
+           for name in ("nodes", "edges", "spans", "triples", "errors")},
     }
 
 
@@ -340,22 +439,29 @@ def run_kg_pipeline(
     recorded plan fingerprint matches AND no extract partition re-ran —
     rerunning against a changed input set or partition count can never
     silently serve stale outputs. Stale partitions beyond the current plan
-    (a shrunk ``num_partitions``) are deleted before the graph stage reads
-    the extraction directory.
+    (a shrunk ``num_partitions``) are deleted from all six per-partition
+    directories (``PARTITION_DIRS``) before the graph stage reads
+    ``mentions/`` and ``graph/triples``. The extract fingerprint carries
+    ``LAYOUT_VERSION``, so a run directory of an older layout re-extracts
+    every partition; its flat ``graph/{spans,triples,errors}/*.parquet``
+    files are deleted first.
 
     The write jobs of all pending partitions run at the same time
     (``_run_writes``), unless ``cfg.ner_concurrency`` is set: then one
     partition runs at a time, so the cap holds for the whole run. Each
     partition's manifest row is written in plan order once both of its jobs
-    finished, with its wall seconds (``wall_s``) and the input bytes and
-    block count its reads were sized to (``in_bytes``, ``blocks``) outside
-    the fingerprint. The reads' block floor is derived, not configured:
+    finished, with its wall seconds (``wall_s``), the input bytes and block
+    count its reads were sized to (``in_bytes``, ``blocks``) and the row
+    counts of its tables (``pages``, ``paragraphs``, ``spans``,
+    ``triples``, ``errors``, ``mentions``) outside the fingerprint. The
+    reads' block floor is derived, not configured:
     ``ceil(cluster CPUs / partitions written together)`` (``_read_floor``).
     An empty batch (a resumed run with nothing pending) builds no jobs.
 
     The graph row's link counters (``link_path``, ``link_keys``,
-    ``link_pairs``), its ``extraction/`` read's ``in_bytes`` and ``blocks``,
-    and per-phase ``phases`` sit next to ``plan_fp``, outside it. Tests
+    ``link_pairs``, ``mentions_rows``, ``mentions_bytes``), its reads'
+    ``in_bytes`` and ``blocks``, and per-phase ``phases`` sit next to
+    ``plan_fp``, outside it. Tests
     force task-side banding by monkeypatching ``linking.DRIVER_CC_MAX_KEYS``.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —
@@ -370,10 +476,11 @@ def run_kg_pipeline(
     # knobs (batch size, concurrency, placement — identical outputs by
     # construction)
     # and hash everything else, so any future output-affecting knob
-    # invalidates finished partitions by default
+    # invalidates finished partitions by default; the layout version too
     cfg_fp = hashlib.md5(
-        repr(dataclasses.replace(cfg, ner_batch_size=0, ner_concurrency=None,
-                                 ner_ray_remote_args=None)).encode()
+        repr((LAYOUT_VERSION,
+              dataclasses.replace(cfg, ner_batch_size=0, ner_concurrency=None,
+                                  ner_ray_remote_args=None))).encode()
     ).hexdigest()
     # S7 model-artifact contract: when a checkpoint dir is configured, pin
     # its byte-level identity into the resume fingerprint (retraining the
@@ -400,6 +507,11 @@ def run_kg_pipeline(
         batches = [pending] if pending else []
     else:
         batches = [[i] for i in pending]
+    # flat files of the layout before per-partition flattens: never valid
+    # next to part=<p>/ dirs, and their partitions re-extract
+    for name in ("graph/spans", "graph/triples", "graph/errors"):
+        for f in (out_dir / name).glob("*.parquet"):
+            f.unlink()
     t_extract = time.perf_counter()
     for batch in batches:
         floor = _read_floor(len(batch))
@@ -419,19 +531,18 @@ def run_kg_pipeline(
     if crash:
         raise RuntimeError("injected failure for resume test")
     # drop partitions a previous (wider) plan produced that this plan no
-    # longer owns — graph_stage reads the whole extraction dir. Scan the
-    # actual output dirs, not just manifest rows: a crashed run can leave an
-    # orphan part dir whose manifest row was never written. Only the exact
+    # longer owns — graph_stage reads all of mentions/ and graph/triples.
+    # Scan the actual output dirs, not just manifest rows: a crashed run can
+    # leave an orphan part dir whose manifest row was never written. Only the exact
     # written name format is ours (a re-padded parse would miss e.g. a
     # foreign 'part=7'); anything else is left alone entirely.
     names = [p.stem for p in manifest.dir.glob("extract__*.json")] + [
-        d.name for sub in ("extracted", "extraction")
-        for d in (out_dir / sub).glob("part=*")]
+        d.name for sub in PARTITION_DIRS for d in (out_dir / sub).glob("part=*")]
     owned = {int(m.group(1)) for n in names
              if (m := re.fullmatch(r"(?:extract__|part=)(\d{5})", n))}
     for idx in sorted(i for i in owned if i >= len(plan)):
         (manifest.dir / f"extract__{idx:05d}.json").unlink(missing_ok=True)
-        for sub in ("extracted", "extraction"):
+        for sub in PARTITION_DIRS:
             stale = out_dir / sub / f"part={idx:05d}"
             if stale.exists():
                 shutil.rmtree(stale)

@@ -111,9 +111,15 @@ def sized_read_parquet(
     max_blocks: int | None = None,
 ):
     """``ray.data.read_parquet`` with a byte-budgeted ``override_num_blocks``
-    (``read_plan``) and a metadata-free schema."""
+    (``read_plan``) and a metadata-free schema. A ``part=<p>`` directory
+    is a storage layout, not a column: the read adds no hive partition
+    columns, so a table written per partition reads with its own columns
+    only."""
     import ray
 
     _, n = read_plan(paths, target_block_bytes, min_blocks, max_blocks)
+    # a column list adds no partition column it does not name, and Ray 2.49
+    # raises on ``partitioning=None`` with one
+    layout = {"partitioning": None} if columns is None else {}
     return ray.data.read_parquet(paths, columns=columns, override_num_blocks=n,
-                                 schema=_clean_schema(paths, columns))
+                                 schema=_clean_schema(paths, columns), **layout)

@@ -17,7 +17,10 @@ Output of the NER stage is ONE nested Arrow table per paragraph row —
 ``(url, lang, para_idx, para_text, spans: list<struct>, triples:
 list<struct>)`` — so a single streamed pass yields every downstream view
 (paragraphs / spans / triples are projections or flattens of it), instead of
-re-running extraction once per output table.
+re-running extraction once per output table. ``flatten_spans``,
+``flatten_triples`` and ``error_rows`` make the per-partition graph tables
+from it in the NER job's write tasks (``pipelines/kg``); every table the
+pipeline writes has a static schema here or in ``stages/graph.py``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,37 @@ EXTRACTION_SCHEMA = pa.schema(
         ("spans", pa.list_(SPAN_T)),
         ("triples", pa.list_(TRIPLE_T)),
         ("error", pa.string()),  # null = clean row; non-null = quarantined
+    ]
+)
+
+# the schemas of the per-partition tables the NER job writes next to
+# ``extraction/`` (``pipelines/kg``): a table with no rows is written as one
+# zero-row file in its schema, so no Ray execution has to find it out
+EXTRACTED_SCHEMA = pa.schema(
+    [("url", pa.string()), ("lang", pa.string()), ("text", pa.string())])
+SPANS_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("para_idx", pa.int32()),
+        ("start", pa.int32()),
+        ("end", pa.int32()),
+        ("label", pa.string()),
+        ("surface", pa.string()),
+    ]
+)
+TRIPLES_SCHEMA = pa.schema(
+    [*((f.name, f.type) for f in TRIPLE_T),
+     ("url", pa.string()), ("para_idx", pa.int32())])
+ERRORS_SCHEMA = pa.schema(
+    [("url", pa.string()), ("para_idx", pa.int32()), ("error", pa.string())])
+# mention partials (``linking.MentionPartial``): one row per distinct entity
+# key of a write task's spans
+MENTIONS_SCHEMA = pa.schema(
+    [
+        ("key", pa.string()),
+        ("label", pa.string()),
+        ("surface", pa.string()),
+        ("n", pa.int64()),
     ]
 )
 
@@ -279,3 +313,13 @@ def flatten_triples(batch: pa.Table) -> pa.Table:
             "para_idx": pc.take(batch["para_idx"], parent),
         }
     )
+
+
+def error_rows(batch: pa.Table) -> pa.Table:
+    """Extraction rows -> the quarantined ones (url, para_idx, error): rows
+    whose tagging failed carry an error string, so their entities are never
+    silently dropped (SURVEY.md §4); the url lineage lets them be
+    reprocessed."""
+    import pyarrow.compute as pc
+
+    return batch.filter(pc.is_valid(batch["error"])).select(["url", "para_idx", "error"])

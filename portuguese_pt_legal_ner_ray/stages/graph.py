@@ -21,6 +21,25 @@ from ray.data import Dataset
 from ..functions.normalize import entity_key
 from .shuffle import grouped_agg, grouped_count
 
+# the written tables' schemas: a table with no rows is one zero-row file in
+# its schema (``pipelines/kg``), found without a Ray execution
+NODES_SCHEMA = pa.schema(
+    [
+        ("entity_id", pa.string()),
+        ("canonical_surface", pa.string()),
+        ("label", pa.string()),
+        ("n_mentions", pa.int64()),
+    ]
+)
+EDGES_SCHEMA = pa.schema(
+    [
+        ("subj_id", pa.string()),
+        ("pred", pa.string()),
+        ("obj_id", pa.string()),
+        ("weight", pa.int64()),
+    ]
+)
+
 
 def nodes_from_comp(ds: Dataset) -> Dataset:
     """Rows carrying (comp, surface, n) -> one node row per component: one

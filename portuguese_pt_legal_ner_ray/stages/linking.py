@@ -3,7 +3,8 @@
 SURVEY.md §7 step 6, target-spec mandated (no counterpart in the reference):
 
 1. mention partials — a per-batch combiner (``mention_partial_task``) emits
-   one (key, label, surface, n) row per distinct key per batch;
+   one (key, label, surface, n) row per distinct key per batch; each NER
+   write task of ``pipelines/kg`` writes its own under ``mentions/``;
 2. minhash band keys per distinct linkable entity (``BandStage``);
 3. per-(label, band_key) deterministic salted sorted-neighborhood candidate
    pairs (functions/blocking.py — a pure function of the member set, so
@@ -16,7 +17,7 @@ SURVEY.md §7 step 6, target-spec mandated (no counterpart in the reference):
 verified same-as pairs, only those come to the driver, and step 5 turns
 them into one non-identity key -> component map. Only where steps 2-4 run
 depends on size: in the driver over the distinct linkable keys up to
-``DRIVER_CC_MAX_KEYS`` linkable partial rows, and as Ray tasks above it
+``DRIVER_CC_MAX_KEYS`` mention partial rows, and as Ray tasks above it
 (``band_task`` → ``candidate_pairs``) — banding is the step that needs
 bounded memory, not the union-find.
 
@@ -26,8 +27,11 @@ Component id = lexicographic-min member key — order-free determinism
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray
 from ray.data import Dataset
 
@@ -35,16 +39,20 @@ from ..config import LINK_LABELS, LinkingConfig
 from ..functions.blocking import pairs_for_block
 from ..functions.minhash import MinHasher, jaccard, shingles
 from ..functions.normalize import entity_key
+from ..sources.parquet import read_plan, sized_read_parquet
+from ..state.manifest import parquet_row_count
+from .extract import MENTIONS_SCHEMA
 from .shuffle import exchange, grouped_agg, grouped_count, worker_cached
 
-# Above this many linkable partial rows (an upper bound on distinct linkable
-# keys), banding, pairing and verification run as Ray tasks instead of in
-# the driver; union-find stays in the driver either way. With each key
-# shingled once, the driver side was faster at every measured size at 4
-# CPUs (8.6 vs 15.3 s at 20k keys, 68 vs 153 s at 200k, 355 vs 965 s at 1M;
-# scripts/bench_scale_paths.py --link --keys N, BASELINE.md), and the gap
-# grew with size; no crossover was found, so the bound stays at 2M. Read at
-# call time, so tests force the task side with a tiny override.
+# Above this many mention partial rows (an upper bound on distinct linkable
+# keys, counted from the Parquet footers), banding, pairing and verification
+# run as Ray tasks instead of in the driver; union-find stays in the driver
+# either way. With each key shingled once, the driver side was faster at
+# every measured size at 4 CPUs (8.6 vs 15.3 s at 20k keys, 68 vs 153 s at
+# 200k, 355 vs 965 s at 1M; scripts/bench_scale_paths.py --link --keys N,
+# BASELINE.md), and the gap grew with size; no crossover was found, so the
+# bound stays at 2M. Read at call time, so tests force the task side with a
+# tiny override.
 DRIVER_CC_MAX_KEYS = 2_000_000
 _LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 
@@ -81,7 +89,8 @@ class MentionPartial:
                 "label": pa.array([v[0] for v in agg.values()], pa.string()),
                 "surface": pa.array([v[1] for v in agg.values()], pa.string()),
                 "n": pa.array([v[2] for v in agg.values()], pa.int64()),
-            }
+            },
+            schema=MENTIONS_SCHEMA,
         )
 
 
@@ -222,23 +231,31 @@ def _task_pairs(linkable: Dataset, cfg: LinkingConfig) -> tuple[list[tuple[str, 
     return pairs, keys.count()
 
 
-def link(partials: Dataset, cfg: LinkingConfig) -> tuple[dict[str, str], dict]:
-    """Mention partials -> (non-identity key -> component map, stats).
+def link(mentions: str | Path, cfg: LinkingConfig) -> tuple[dict[str, str], dict]:
+    """The mention partials under directory ``mentions`` -> (non-identity
+    key -> component map, stats).
 
-    Keys missing from the map are their own component. ``stats`` holds
-    ``link_path`` (``"driver"`` or ``"distributed"``: where banding ran),
-    ``link_keys`` (distinct linkable keys) and ``link_pairs`` (the verified
-    pairs union-find ran over; the same count on either side)."""
-    linkable = partials.map_batches(linkable_rows, batch_format="pyarrow").materialize()
-    # the partial-row count bounds the distinct linkable keys, so the
-    # collect below cannot OOM the driver at web-scale surface counts
-    if linkable.count() <= DRIVER_CC_MAX_KEYS:
-        keys = sorted({k for block in ray.get(linkable.to_arrow_refs())
-                       for k in block["key"].to_pylist()})
+    Keys missing from the map are their own component. The partial-row
+    count comes from the Parquet footers; it bounds the distinct linkable
+    keys, so the driver side, which reads ``key`` and ``label`` with
+    pyarrow and runs no Ray job, cannot OOM the driver at web-scale surface
+    counts. ``stats`` holds ``link_path`` (``"driver"`` or
+    ``"distributed"``: where banding ran), ``link_keys`` (distinct linkable
+    keys), ``link_pairs`` (the verified pairs union-find ran over; the same
+    count on either side), and ``mentions_rows`` and ``mentions_bytes``
+    (the partial rows and file bytes read)."""
+    rows = parquet_row_count(mentions)
+    if rows <= DRIVER_CC_MAX_KEYS:
+        tbl = pads.dataset(str(mentions), schema=MENTIONS_SCHEMA,
+                           format="parquet").to_table(columns=["key", "label"])
+        keys = sorted(pc.unique(linkable_rows(tbl)["key"]).to_pylist())
         path, pairs, n_keys = "driver", _driver_pairs(keys, cfg), len(keys)
     else:
+        linkable = sized_read_parquet(str(mentions), columns=["key", "label"]
+                                      ).map_batches(linkable_rows, batch_format="pyarrow")
         path, (pairs, n_keys) = "distributed", _task_pairs(linkable, cfg)
     ends = sorted({k for pair in pairs for k in pair})
     mapping = connected_components_driver(ends, pairs)
     return ({k: c for k, c in mapping.items() if k != c},
-            {"link_path": path, "link_keys": n_keys, "link_pairs": len(pairs)})
+            {"link_path": path, "link_keys": n_keys, "link_pairs": len(pairs),
+             "mentions_rows": rows, "mentions_bytes": read_plan(str(mentions))[0]})

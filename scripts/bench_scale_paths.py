@@ -78,14 +78,16 @@ def bench_ivf(cpus: int) -> dict:
     return out
 
 
-def _link_partials(n_keys: int = 200_000, hot: int = 2_000):
-    """Mention partials over ``n_keys`` linkable keys: groups of 4 spelling
-    variants of one random name (so most groups link), plus one hot
-    cluster of ``hot`` near-identical variants (one band key far above
-    ``SALT_THRESHOLD``)."""
+def _link_partials(n_keys: int = 200_000, hot: int = 2_000) -> Path:
+    """A ``mentions/`` directory (16 Parquet files) of mention partials over
+    ``n_keys`` linkable keys: groups of 4 spelling variants of one random
+    name (so most groups link), plus one hot cluster of ``hot``
+    near-identical variants (one band key far above ``SALT_THRESHOLD``)."""
+    import shutil
+
     import numpy as np
     import pyarrow as pa
-    import ray
+    import pyarrow.parquet as pq
 
     rng = np.random.default_rng(11)
     letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
@@ -96,19 +98,26 @@ def _link_partials(n_keys: int = 200_000, hot: int = 2_000):
         label = labels[g % 3]
         keys += [f"{label}|{base}{v}" for v in ("", " a", " sa", " filho")]
     keys += [f"ORG|ministerio publico da comarca {i:04d}" for i in range(hot)]
-    return ray.data.from_arrow(pa.table({
+    tbl = pa.table({
         "key": pa.array(keys, pa.string()),
         "label": pa.array([k.split("|", 1)[0] for k in keys], pa.string()),
         "surface": pa.array([k.split("|", 1)[1] for k in keys], pa.string()),
         "n": pa.array(np.ones(len(keys), dtype=np.int64)),
-    })).repartition(16).materialize()
+    })
+    out = SHM / f"mentions_{n_keys}"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    step = -(-len(keys) // 16)
+    for i in range(16):
+        pq.write_table(tbl.slice(i * step, step), out / f"part-{i:02d}.parquet")
+    return out
 
 
 def bench_link(n_keys: int = 200_000) -> dict:
     from portuguese_pt_legal_ner_ray.config import LinkingConfig
     from portuguese_pt_legal_ner_ray.stages import linking
 
-    partials = _link_partials(n_keys)
+    mentions = _link_partials(n_keys)
     cfg = LinkingConfig()
     out: dict = {}
     maps = {}
@@ -117,7 +126,7 @@ def bench_link(n_keys: int = 200_000) -> dict:
         for path, limit in (("driver", bound), ("distributed", 0)):
             linking.DRIVER_CC_MAX_KEYS = limit
             t0 = time.time()
-            maps[path], stats = linking.link(partials, cfg)
+            maps[path], stats = linking.link(mentions, cfg)
             assert stats["link_path"] == path
             out[path] = {"sec": round(time.time() - t0, 2), **stats}
     finally:

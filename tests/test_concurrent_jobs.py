@@ -1,6 +1,6 @@
 """run_kg_pipeline runs its independent Ray Data write jobs at the same time,
 from driver threads, up to one job per cluster CPU: the jobs of every
-pending extract partition, then the five graph-table writes. These tests pin
+pending extract partition, then the nodes and edges writes. These tests pin
 that contract and the two things it must not break: Ray's path handling
 under concurrent threads, and the NER concurrency cap."""
 
@@ -44,18 +44,19 @@ def test_http_filesystem_check_survives_concurrent_threads():
 
 
 def _spy_writes(monkeypatch) -> dict[str, tuple[float, float]]:
-    """Record the (start, end) of every Dataset.write_parquet, by path."""
+    """Record the (start, end) of every Dataset.write_datasink, by the
+    directory of the sink's first table."""
     import ray.data
 
     spans: dict[str, tuple[float, float]] = {}
-    orig = ray.data.Dataset.write_parquet
+    orig = ray.data.Dataset.write_datasink
 
-    def spy(self, path, *args, **kwargs):
+    def spy(self, sink, *args, **kwargs):
         t = time.perf_counter()
-        orig(self, path, *args, **kwargs)
-        spans[str(path)] = (t, time.perf_counter())
+        orig(self, sink, *args, **kwargs)
+        spans[str(sink.dirs[0])] = (t, time.perf_counter())
 
-    monkeypatch.setattr(ray.data.Dataset, "write_parquet", spy)
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink", spy)
     return spans
 
 
@@ -66,8 +67,10 @@ def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 @pytest.mark.parametrize("cpus", [4, 1])
 def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus):
     """At 4 Ray CPUs the write jobs of two pending partitions overlap in
-    time, and so do the graph-table writes; at 1 CPU no two writes overlap.
-    The 1-CPU case reports one CPU to the pipeline from the 4-CPU session."""
+    time, and so do the nodes and edges writes; at 1 CPU no two writes
+    overlap. The 1-CPU case reports one CPU to the pipeline from the 4-CPU
+    session. Each partition writes two jobs (``extracted/`` and its NER
+    tables), and the graph stage two (``nodes``, ``edges``)."""
     import ray
 
     if cpus == 1:
@@ -76,13 +79,13 @@ def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus
     out = tmp_path / "out"
     kg.run_kg_pipeline(mini_run["input"], out, num_partitions=2)
     ner = [spans[str(out / "extraction" / f"part={p}")] for p in ("00000", "00001")]
-    graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges", "spans")]
+    graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges")]
     if cpus > 1:
         assert _overlap(*ner)
-        assert _overlap(graph[0], graph[1]) and _overlap(graph[0], graph[2])
+        assert _overlap(*graph)
     else:
         ordered = sorted(spans.values())
-        assert len(ordered) == 2 * 2 + 5
+        assert len(ordered) == 2 * 2 + 2
         assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
 
 
@@ -117,17 +120,24 @@ def test_kg_reads_are_byte_sized(mini_run):
     """Every read of the fixture's run goes through ``sized_read_parquet``:
     the eight extract reads (two jobs per partition) with a floor of
     ceil(4 CPUs / 4 pending partitions) = 1 block, and the graph stage's
-    one read of ``extraction/`` with no floor. The run is 200 pages, so
-    each graph table comes out of one block as one Parquet file (Ray's
-    default read wrote 8); ``errors`` is empty here, and is one zero-row
-    file."""
+    reads of ``mentions/`` and ``graph/triples`` with no floor; it never
+    reads ``extraction/``, and linking reads ``mentions/`` without Ray.
+    Each partition reads as one block, so each of its tables is one
+    Parquet file; ``errors`` is empty here, and is one zero-row file per
+    partition. ``nodes`` and ``edges`` come out of one block as one file
+    each (Ray's default read wrote 8)."""
     reads, out = mini_run["reads"], mini_run["out"]
-    assert reads["ray"] == len(reads["sized"]) == 4 * 2 + 1
+    assert reads["ray"] == len(reads["sized"]) == 4 * 2 + 2
     extract = [r for r in reads["sized"] if isinstance(r["paths"], list)]
     assert len(extract) == 8 and all(r["min_blocks"] == 1 for r in extract)
     graph = [r for r in reads["sized"] if not isinstance(r["paths"], list)]
-    assert graph == [{"paths": str(out / "extraction"), "min_blocks": 1}]
-    for table in ("spans", "triples", "nodes", "edges", "errors"):
+    assert graph == [{"paths": str(out / "mentions"), "min_blocks": 1},
+                     {"paths": str(out / "graph" / "triples"), "min_blocks": 1}]
+    for table in ("extraction", "mentions", "graph/spans", "graph/triples",
+                  "graph/errors"):
+        files = list((out / table).glob("*/*.parquet"))
+        assert len(files) == 4 and len({f.parent for f in files}) == 4, table
+    for table in ("nodes", "edges"):
         assert len(list((out / "graph" / table).glob("*.parquet"))) == 1, table
 
 
@@ -171,6 +181,7 @@ def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads
     kg.run_kg_pipeline(inp, out, num_partitions=2)
     assert extract_floors() == [cpus] * 2
 
-    # a resumed run with nothing pending reads nothing
+    # a resumed run with nothing pending reads nothing; each graph stage
+    # reads twice (mentions/, graph/triples)
     kg.run_kg_pipeline(inp, out, num_partitions=2)
-    assert kg_reads["sized"] == [] and kg_reads["ray"] == (4 + 1) + (2 + 1)
+    assert kg_reads["sized"] == [] and kg_reads["ray"] == (4 + 2) + (2 + 2)

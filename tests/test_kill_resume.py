@@ -234,9 +234,10 @@ def test_resume_invalidates_on_changed_inputs(ray_session, tmp_path):
 
 def test_orphan_partition_dir_removed(ray_session, tmp_path):
     """A partition dir with NO manifest row (crashed mid-write under a wider
-    plan) must still be swept when the plan shrinks below its index."""
+    plan) must still be swept when the plan shrinks below its index, in
+    every one of the six per-partition directories."""
     from portuguese_pt_legal_ner_ray.corpus import gen_pages_shard
-    from portuguese_pt_legal_ner_ray.pipelines.kg import run_kg_pipeline
+    from portuguese_pt_legal_ner_ray.pipelines.kg import PARTITION_DIRS, run_kg_pipeline
 
     inp = tmp_path / "webpages"
     inp.mkdir()
@@ -246,9 +247,15 @@ def test_orphan_partition_dir_removed(ray_session, tmp_path):
     orphan = out / "extraction" / "part=00007"
     orphan.mkdir(parents=True)
     pq.write_table(gen_pages_shard(9, 0, 5), orphan / "junk.parquet")
+    # a crash that left only a flatten or the partials behind
+    others = [out / name / "part=00006" for name in PARTITION_DIRS]
+    for d in others:
+        d.mkdir(parents=True)
+        pq.write_table(pa.table({"x": [1]}), d / "junk.parquet")
 
     run_kg_pipeline(inp, out, num_partitions=2)
     assert not orphan.exists()
+    assert not any(d.exists() for d in others)
 
 
 def test_model_artifact_recorded_and_invalidates_resume(ray_session, tmp_path):
@@ -393,3 +400,67 @@ def test_incremental_append_resumes_only_new_partitions(ray_session, tmp_path):
         got = got.sort_by([(c, "ascending") for c in cols])
         want = want.select(cols).sort_by([(c, "ascending") for c in cols])
         assert got.equals(want.cast(got.schema)), name
+
+
+def test_old_layout_run_dir_resumes_to_fresh_tables(ray_session, tmp_path):
+    """A run directory in the layout before ``mentions/`` and the
+    per-partition ``graph/`` flattens: flat ``graph/{spans,triples,errors}
+    /*.parquet`` files, no ``mentions/``, and extract rows fingerprinted
+    without the layout version. Resuming it re-extracts every partition
+    instead of failing on the missing ``mentions/``, removes the flat
+    files, and gives ``nodes``/``edges``/``spans`` equal to a fresh run."""
+    import dataclasses
+    import hashlib
+    import json
+    import shutil
+
+    from portuguese_pt_legal_ner_ray.config import PipelineConfig
+    from portuguese_pt_legal_ner_ray.corpus import gen_pages_shard
+    from portuguese_pt_legal_ner_ray.pipelines.kg import run_kg_pipeline
+
+    inp = tmp_path / "webpages"
+    inp.mkdir()
+    for s in range(4):
+        pq.write_table(gen_pages_shard(s, s * 30, 30), inp / f"part-{s:05d}.parquet")
+    out = tmp_path / "out"
+    run_kg_pipeline(inp, out, num_partitions=2)
+
+    # rewrite the run directory into the old layout
+    for name in ("spans", "triples", "errors"):
+        d = out / "graph" / name
+        t = pads.dataset(d).to_table()
+        shutil.rmtree(d)
+        d.mkdir()
+        pq.write_table(t, d / ("empty.parquet" if t.num_rows == 0 else "old_000000.parquet"))
+    shutil.rmtree(out / "mentions")
+    old_fp = hashlib.md5(repr(dataclasses.replace(
+        PipelineConfig(), ner_batch_size=0, ner_concurrency=None,
+        ner_ray_remote_args=None)).encode()).hexdigest()
+    rows = {}
+    for f in sorted((out / "_manifest").glob("extract__*.json")):
+        rec = json.loads(f.read_text())
+        rec["cfg_fp"] = old_fp
+        for key in ("spans", "triples", "errors", "mentions"):
+            del rec[key]
+        f.write_text(json.dumps(rec))
+        rows[rec["partition"]] = rec
+    graph = out / "_manifest" / "graph__all.json"
+    rec = json.loads(graph.read_text())
+    rec["plan_fp"] = hashlib.md5(json.dumps(
+        [[rows[p]["input_sig"] for p in sorted(rows)], old_fp]).encode()).hexdigest()
+    graph.write_text(json.dumps(rec))
+
+    run_kg_pipeline(inp, out, num_partitions=2)
+    after = {r["partition"]: r for r in (json.loads(f.read_text()) for f in
+             (out / "_manifest").glob("extract__*.json"))}
+    assert all(after[p]["completed_at"] > rows[p]["completed_at"] for p in rows)
+    for name in ("spans", "triples", "errors"):
+        assert list((out / "graph" / name).glob("*.parquet")) == [], name
+    fresh = tmp_path / "fresh"
+    run_kg_pipeline(inp, fresh, num_partitions=2)
+    for name, cols in (("nodes", ["entity_id", "canonical_surface", "label", "n_mentions"]),
+                       ("edges", ["subj_id", "pred", "obj_id", "weight"]),
+                       ("spans", ["url", "para_idx", "start", "end", "label", "surface"])):
+        got, want = (pads.dataset(d / "graph" / name).to_table().select(cols)
+                     .sort_by([(c, "ascending") for c in cols]) for d in (out, fresh))
+        assert got.num_rows > 0 and got.equals(want), name

@@ -69,6 +69,128 @@ def test_empty_errors_table_reads_as_zero_rows(mini_run):
     assert sized_read_parquet(str(errors)).count() == 0
 
 
+def test_graph_spans_read_without_partition_column(mini_run):
+    """``graph/spans`` is written per partition (``part=<p>/``), and the
+    pipeline's own reader (used by ``cli report`` and the span-eval
+    queries) reports exactly the six span columns: the directory names add
+    no hive ``part`` column."""
+    from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
+
+    spans = mini_run["out"] / "graph" / "spans"
+    assert sorted(d.name for d in spans.iterdir()) == [
+        f"part={p:05d}" for p in range(4)]
+    import ray
+
+    # the blocks, not ds.schema(): the read reports the schema it was given
+    blocks = ray.get(sized_read_parquet(str(spans)).to_arrow_refs())
+    assert {tuple(b.column_names) for b in blocks} == {tuple(TABLE_COLS["spans"])}
+    assert sum(b.num_rows for b in blocks) == mini_run["golden"]["spans"].num_rows
+
+
+def test_partition_tables_equal_flattens_of_extraction(mini_run):
+    """Each partition's NER job writes, next to ``extraction/part=<p>/``,
+    ``graph/{spans,triples,errors}/part=<p>/`` and ``mentions/part=<p>/``:
+    equal to ``flatten_spans``, ``flatten_triples`` and ``error_rows`` of
+    the partition's ``extraction/`` rows, and mention partials that merge
+    to ``MentionPartial`` over all its spans. Every file has its table's
+    static schema, and each extract manifest row holds its tables' row
+    counts."""
+    from portuguese_pt_legal_ner_ray.pipelines.kg import NER_TABLES
+    from portuguese_pt_legal_ner_ray.stages.extract import (
+        error_rows,
+        flatten_spans,
+        flatten_triples,
+    )
+    from portuguese_pt_legal_ner_ray.stages.linking import MentionPartial
+    from portuguese_pt_legal_ner_ray.state.manifest import Manifest
+
+    out = mini_run["out"]
+    rows = {r["partition"]: r for r in Manifest(out).all_records()
+            if r["stage"] == "extract"}
+    assert len(rows) == 4
+    for part, row in rows.items():
+        def read(name):
+            d = out / name / f"part={part}"
+            for f in d.glob("*.parquet"):
+                assert pq.read_schema(f).remove_metadata() == NER_TABLES[name], f
+            return pads.dataset(d).to_table()
+
+        ext = read("extraction")
+        assert row["paragraphs"] == ext.num_rows
+        for name, flatten in (("spans", flatten_spans), ("triples", flatten_triples),
+                              ("errors", error_rows)):
+            got, want = read(f"graph/{name}"), flatten(ext)
+            cols = got.column_names
+            assert cols == want.column_names, name
+            assert _sorted(got, cols).equals(_sorted(want, cols)), name
+            assert row[name] == got.num_rows, name
+        mentions = read("mentions")
+        assert row["mentions"] == mentions.num_rows > 0
+        merged = mentions.group_by(["key", "label"]).aggregate(
+            [("surface", "min"), ("n", "sum")]).rename_columns(
+            ["key", "label", "surface", "n"])
+        want = MentionPartial()(flatten_spans(ext))
+        cols = ["key", "label", "surface", "n"]
+        assert _sorted(merged, cols).equals(_sorted(want, cols))
+
+
+def test_empty_tables_written_without_schema_probe(mini_run, tmp_path, monkeypatch):
+    """No paragraph of a clean partition is quarantined, and its
+    ``graph/errors/part=<p>/`` still holds one zero-row file with the
+    columns ``url``, ``para_idx``, ``error``: the sink writes it from the
+    static schema, so the run asks no Dataset for its schema and runs no
+    ``limit(1)`` execution to find one."""
+    import ray.data
+
+    calls: list[str] = []
+    for name in ("schema", "limit"):
+        orig = getattr(ray.data.Dataset, name)
+
+        def spy(self, *args, _name=name, _orig=orig, **kwargs):
+            calls.append(_name)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(ray.data.Dataset, name, spy)
+    out = tmp_path / "out"
+    run_kg_pipeline(mini_run["input"], out, num_partitions=1)
+    assert calls == []
+    errors = out / "graph" / "errors" / "part=00000"
+    assert [f.name for f in errors.iterdir()] == ["empty.parquet"]
+    t = pq.read_table(errors / "empty.parquet")
+    assert t.num_rows == 0 and t.column_names == ["url", "para_idx", "error"]
+
+
+def test_append_leaves_old_partition_tables_untouched(mini_run, tmp_path):
+    """An ``append`` (one new input file, one file per partition) extracts
+    only the new partition: the old partitions' ``graph/{spans,triples,
+    errors}`` files keep their ``mtime_ns``, the new partition's appear,
+    and the tables equal a fresh run over all five files."""
+    inp = tmp_path / "in"
+    shutil.copytree(mini_run["input"], inp)
+    out = tmp_path / "out"
+    run_kg_pipeline(inp, out, num_partitions=8)
+    flat = ("graph/spans", "graph/triples", "graph/errors")
+
+    def stamps() -> dict[Path, int]:
+        return {f: f.stat().st_mtime_ns for name in flat
+                for f in (out / name).glob("part=*/*.parquet")}
+
+    before = stamps()
+    assert len({f.parent for f in before}) == 3 * 4
+    pq.write_table(gen_pages_shard(4, 200, 50), inp / "part-00004.parquet")
+    run_kg_pipeline(inp, out, num_partitions=8)
+    after = stamps()
+    assert {f: after[f] for f in before} == before
+    assert {f.parent.name for f in set(after) - set(before)} == {"part=00004"}
+    fresh = tmp_path / "fresh"
+    run_kg_pipeline(inp, fresh, num_partitions=8)
+    for name in ("spans", "triples", "nodes", "edges"):
+        cols = TABLE_COLS[name]
+        got = _sorted(pads.dataset(out / "graph" / name).to_table(), cols)
+        want = _sorted(pads.dataset(fresh / "graph" / name).to_table(), cols)
+        assert got.equals(want), name
+
+
 def test_triple_set_precision_recall(mini_run):
     """The north-rule metric: (subj, pred, obj) set P/R >= 0.95 (here 1.0)."""
     got_t = pads.dataset(mini_run["out"] / "graph" / "triples").to_table()
@@ -226,9 +348,10 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     assert all(r["wall_s"] > 0 for r in rows if r["stage"] == "extract")
     assert all(r["in_bytes"] > 0 and r["blocks"] >= 1 for r in rows)
     graph_before = Manifest(out).read("graph", "all")
-    assert {"extract", "link", "nodes", "edges", "spans", "triples", "errors",
-            "writes"} <= set(graph_before["phases"])
-    assert {"link_path", "link_keys", "link_pairs"} <= set(graph_before)
+    assert set(graph_before["phases"]) == {"extract", "link", "nodes", "edges",
+                                           "writes"}
+    assert {"link_path", "link_keys", "link_pairs", "mentions_rows",
+            "mentions_bytes"} <= set(graph_before)
     assert graph_before["link_pairs"] > 0
     run_kg_pipeline(
         mini_run["input"], out,

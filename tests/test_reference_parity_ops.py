@@ -253,6 +253,13 @@ def test_cli_report_and_build(mini_run, capsys, tmp_path):
     assert graph["link_path"] == "driver" and graph["link_pairs"] > 0
     # every row prints the bytes and block count its read was sized to
     assert all(l["in_bytes"] > 0 and l["blocks"] >= 1 for l in lines)
+    # each extract row prints its tables' row counts, and the graph row the
+    # mention partials the link read, which the extract rows add up to
+    parts = [l for l in lines if l["stage"] == "extract"]
+    assert all({"spans", "triples", "errors", "mentions"} <= set(l) for l in parts)
+    assert graph["mentions_rows"] == sum(l["mentions"] for l in parts) > 0
+    assert graph["mentions_bytes"] > 0
+    assert graph["spans"] == sum(l["spans"] for l in parts) > 0
     # build on an already-complete out_dir resumes instantly via manifests
     assert main(["build", str(mini_run["input"]), str(mini_run["out"])]) == 0
 

@@ -79,11 +79,11 @@ def test_tagger_error_quarantined_not_silent():
     assert len(out["spans"][0].as_py()) > 0  # healthy rows unaffected
 
 
-def test_skewed_hot_cluster_links_fully(ray_session, monkeypatch):
+def test_skewed_hot_cluster_links_fully(ray_session, monkeypatch, tmp_path):
     """One entity with > SALT_THRESHOLD near-identical variants: the salted
     pairing + band redundancy must still produce ONE component, identically
     in the oracle union-find and ``linking.link`` with banding as tasks."""
-    import ray
+    import pyarrow.parquet as pq
 
     from portuguese_pt_legal_ner_ray.functions.blocking import SALT_THRESHOLD
     from portuguese_pt_legal_ner_ray.stages import linking
@@ -95,14 +95,15 @@ def test_skewed_hot_cluster_links_fully(ray_session, monkeypatch):
     oracle_map = link_entities(mentions, cfg)
     n_comps_oracle = len(set(oracle_map.values()))
 
-    partials = ray.data.from_arrow(pa.table({
+    (tmp_path / "mentions").mkdir()
+    pq.write_table(pa.table({
         "key": pa.array(list(mentions), pa.string()),
         "label": pa.array(["ORG"] * n, pa.string()),
         "surface": pa.array([v[1] for v in mentions.values()], pa.string()),
         "n": pa.array([5] * n, pa.int64()),
-    }))
+    }), tmp_path / "mentions" / "part.parquet")
     monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", 10)
-    mapping, stats = linking.link(partials, cfg)
+    mapping, stats = linking.link(tmp_path / "mentions", cfg)
     assert stats["link_path"] == "distributed" and stats["link_keys"] == n
     got = {k: mapping.get(k, k) for k in mentions}
     assert got == oracle_map

@@ -165,15 +165,19 @@ def test_sized_read_parquet_block_budget(ray_session, tmp_path):
 
     seen = {}
 
-    def capture(paths, columns=None, override_num_blocks=None, schema=None):
+    def capture(paths, columns=None, override_num_blocks=None, schema=None,
+                **kwargs):
         seen["n"] = override_num_blocks
         seen["schema"] = schema
+        seen["kwargs"] = kwargs
 
     orig = _ray.data.read_parquet
     _ray.data.read_parquet = capture
     try:
         sized_read_parquet(str(p), min_blocks=3)
         assert seen["n"] == 3  # tiny file floors at min_blocks
+        # a part=<p> directory is no column: no hive partitioning
+        assert seen["kwargs"] == {"partitioning": None}
         sized_read_parquet(str(p))
         assert seen["n"] == 1  # no floor by default: a tiny file is 1 block
         sized_read_parquet(str(p), target_block_bytes=1024, max_blocks=5)
