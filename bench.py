@@ -98,28 +98,10 @@ def run_once(sf_dir: str, num_cpus: int, kg_only: bool = False) -> dict:
         timed("doc_simhash", lambda: q["doc_simhash"](sf_dir).count())
         timed("ann_cosine_topk", lambda: q["ann_cosine_topk"](sf_dir).count())
 
-        def one_shot_ivf():
-            # the deprecated no-index fallback, kept as a bench comparison
-            # row against the persisted-index path (not gate-registered)
-            from portuguese_pt_legal_ner_ray.sources.parquet import (
-                sized_read_parquet,
-            )
-            from portuguese_pt_legal_ner_ray.stages.similarity import (
-                ivf_topk,
-                make_query_ref,
-            )
-
-            vecs = sized_read_parquet(f"{sf_dir}/embeddings.parquet",
-                                      columns=["vec_id", "embedding"])
-            qref = make_query_ref(vecs, [0, 1, 2, 3, 4])
-            return ivf_topk(vecs, qref, k=10, n_cells=16, nprobe=4).count()
-
-        timed("ann_ivf_topk", one_shot_ivf)
         timed("ann_ivf_index_topk",
               lambda: q["ann_ivf_index_topk"](sf_dir).count())
         # second invocation hits the signature-keyed index cache: this is
-        # the steady-state indexed-query cost (build amortized away) to
-        # compare against the one-shot row above
+        # the steady-state indexed-query cost (build amortized away)
         timed("ann_ivf_index_query_only",
               lambda: q["ann_ivf_index_topk"](sf_dir).count())
         timed("near_dup_minhash", lambda: q["near_dup_minhash"](sf_dir).count())

@@ -25,9 +25,8 @@ Mirrors the reference's subcommand CLI shape (reference src/cli.py:506-549,
 * ``bench`` — delegate to bench.py's single run
 * ``ann <vectors.parquet> <id,id,...> [--index-dir DIR]`` — the DEFAULT
   ANN entry (stages/similarity.ann_topk): index-first — builds/reuses the
-  persisted IVF index at ``--index-dir`` and queries it; omitting
-  ``--index-dir`` is the explicit one-shot fallback (full assignment pass
-  per call; slower than brute force at small query counts, BASELINE.md)
+  persisted IVF index at ``--index-dir`` and queries it; without
+  ``--index-dir`` it answers exactly by brute force (every vector scored)
 * ``ann-build <vectors.parquet> <index_dir>`` — persist the
   cell-partitioned IVF index (stages/similarity.ivf_build)
 * ``ann-query <vectors.parquet> <index_dir> <id,id,...>`` — top-k from the
@@ -115,7 +114,7 @@ def cmd_ann(args: argparse.Namespace) -> int:
     """Index-first ANN (stages/similarity.ann_topk): with ``--index-dir``
     the persisted IVF index is built once and reused (queries read only
     probed partitions — the default, recommended path); without it the
-    one-shot no-index fallback runs a full assignment pass per call."""
+    exact brute-force top-k scores every vector."""
     _ensure_ray()
     from .sources.parquet import sized_read_parquet
     from .stages.similarity import ann_topk, make_query_ref
@@ -203,8 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     an.add_argument("query_ids", help="comma-separated vector ids")
     an.add_argument("--index-dir", default=None,
                     help="persisted IVF index dir (built once, reused; "
-                         "RECOMMENDED — omitting it falls back to the "
-                         "one-shot full-scan-per-call path)")
+                         "RECOMMENDED — without it the top-k is exact "
+                         "brute force over every vector, and --nprobe and "
+                         "--n-cells are unused)")
     an.add_argument("--k", type=int, default=10)
     an.add_argument("--nprobe", type=int, default=4)
     an.add_argument("--n-cells", type=int, default=128)

@@ -168,28 +168,6 @@ def mirror_embedding_ivf_pairs(ids, mat, threshold: float = 0.4,
                      "id_b": pa.array(b_out, pa.int64())})
 
 
-def mirror_ann_ivf_topk(ids, mat, query_ids, k: int = 10, n_cells: int = 16,
-                        nprobe: int = 4) -> pa.Table:
-    """Mirror of ``similarity.ivf_topk``: probe the nprobe closest cells per
-    query, rank candidates by (-cosine, vec_id), drop self, take k."""
-    cents = _centroids(ids, mat, n_cells)
-    nm = _norm(mat)
-    cells = (nm @ cents.T).argmax(axis=1)
-    qids = np.array(sorted(set(query_ids)), dtype=np.int64)
-    q_mat = _norm(mat[np.searchsorted(ids, qids)])
-    probe = np.argsort(-(q_mat @ cents.T), axis=1)[:, :nprobe]
-    q_out, v_out = [], []
-    for qi, qid in enumerate(qids):
-        cand = np.where(np.isin(cells, probe[qi]))[0]
-        sims = q_mat[qi] @ nm[cand].T
-        order = cand[np.lexsort((ids[cand], -sims))]
-        picked = [int(ids[ci]) for ci in order if ids[ci] != qid][:k]
-        q_out.extend([int(qid)] * len(picked))
-        v_out.extend(picked)
-    return pa.table({"query_id": pa.array(q_out, pa.int64()),
-                     "vec_id": pa.array(v_out, pa.int64())})
-
-
 def mirror_doc_mlm(doc_ids, texts, mask_prob: float = 0.15,
                    max_length: int = 512, seed: str = "kgray-mlm") -> pa.Table:
     """Mirror of the ``doc_mlm_batches`` projection over
@@ -247,8 +225,6 @@ def ensure_mirror_goldens(sf_dir: str | Path,
         "near_dup_minhash": mirror_near_dup_minhash(doc_ids, texts, threshold=0.5),
         "near_dup_embedding_ivf": mirror_embedding_ivf_pairs(
             ids, mat, threshold=0.4, n_cells=16),
-        "ann_ivf_topk": mirror_ann_ivf_topk(
-            ids, mat, query_ids=[0, 1, 2, 3, 4], k=10, n_cells=16, nprobe=4),
         "doc_mlm_batches": mirror_doc_mlm(doc_ids, texts),
     }
     d.parent.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,11 @@ kernels are deterministic fakes: an image payload carries a 12-byte header
 ``b"KGM1" + uint32_be(width) + uint32_be(height)``, an audio payload
 ``b"KGA1" + uint32_be(sample_rate) + uint32_be(n_samples)``, each followed
 by pseudo-random body bytes. The Ray-side plumbing is real and is the point
-(schema with a ``binary`` column + typed metadata, small-batch actor-pool
-decode via ``map_batches``, output layout) — swap ``FakeImageDecoder`` /
-``FakeAudioDecoder`` for a PIL/ffmpeg-backed class on a real cluster.
+(schema with a ``binary`` column + typed metadata, small-batch task-mode
+decode via ``map_batches``, output layout). A real codec (PIL, ffmpeg)
+would replace ``decode_image_batch`` / ``decode_audio_batch`` and load once
+per worker through ``stages.shuffle.worker_cached``, as the NER tagger
+does, so no actor pool holds CPUs the read tasks need.
 
 Header fields are pure functions of doc_id (width = 64 + id % 1216,
 height = 64 + id % 656; sample_rate = 8000 * (1 + id % 5), n_samples =
@@ -24,11 +26,6 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.parquet as pq
 from ray.data import Dataset
-
-def _media_pool() -> tuple[int, int]:
-    from ..stages.shuffle import pool_size
-
-    return pool_size()
 
 
 MAGIC = b"KGM1"
@@ -71,46 +68,37 @@ def ensure_media_table(n_rows: int, root: str = "/tmp/kgray_media") -> Path:
     return out
 
 
-class FakeImageDecoder:
-    """Actor-pool decode stage: parse the binary header -> typed metadata.
-
-    Small ``batch_size`` is the operating rule for large binary payloads
-    (batch × concurrency must fit worker heap); state (a real codec) would
-    load in ``__init__`` once per actor.
-    """
-
-    def __init__(self):
-        self.magic = MAGIC
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        widths, heights, n_bytes, ok = [], [], [], []
-        for payload in batch["payload"].to_pylist():
-            n_bytes.append(len(payload))
-            if payload[:4] == self.magic:
-                widths.append(int.from_bytes(payload[4:8], "big"))
-                heights.append(int.from_bytes(payload[8:12], "big"))
-                ok.append(True)
-            else:
-                widths.append(0)
-                heights.append(0)
-                ok.append(False)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "width": pa.array(widths, pa.int64()),
-                "height": pa.array(heights, pa.int64()),
-                "n_bytes": pa.array(n_bytes, pa.int64()),
-                "decode_ok": pa.array(ok, pa.bool_()),
-            }
-        )
+def decode_image_batch(batch: pa.Table) -> pa.Table:
+    """Image decode kernel: parse the binary header -> typed metadata."""
+    widths, heights, n_bytes, ok = [], [], [], []
+    for payload in batch["payload"].to_pylist():
+        n_bytes.append(len(payload))
+        if payload[:4] == MAGIC:
+            widths.append(int.from_bytes(payload[4:8], "big"))
+            heights.append(int.from_bytes(payload[8:12], "big"))
+            ok.append(True)
+        else:
+            widths.append(0)
+            heights.append(0)
+            ok.append(False)
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "width": pa.array(widths, pa.int64()),
+            "height": pa.array(heights, pa.int64()),
+            "n_bytes": pa.array(n_bytes, pa.int64()),
+            "decode_ok": pa.array(ok, pa.bool_()),
+        }
+    )
 
 
 def decode_images(media: Dataset) -> Dataset:
-    """Image branch: filter kind == 'image', decode headers in an actor pool."""
+    """Image branch: filter kind == 'image', decode headers in Ray tasks.
+    Small batches are the operating rule for large binary payloads (a
+    batch must fit a worker's heap)."""
     return (
         media.filter(expr="kind == 'image'")
-        .map_batches(FakeImageDecoder, batch_format="pyarrow",
-                     batch_size=256, concurrency=_media_pool())
+        .map_batches(decode_image_batch, batch_format="pyarrow", batch_size=256)
     )
 
 
@@ -119,7 +107,7 @@ def resize_metadata(decoded: Dataset, max_side: int = 256) -> Dataset:
 
     Integer math only (scale = max_side / longer side, floor) so the output
     is deterministic and oracle-checkable; a real implementation would apply
-    the same plan to pixel buffers inside the decode actor pool.
+    the same plan to pixel buffers inside the decode task.
     """
 
     def plan(batch: pa.Table) -> pa.Table:
@@ -168,55 +156,49 @@ def frame_sample_plan(media: Dataset, every_n_bytes: int = 64) -> Dataset:
     return media.map_batches(plan, batch_format="pyarrow", batch_size=256)
 
 
-class FakeAudioDecoder:
-    """Actor-pool audio decode: parse the binary header -> typed metadata
-    (sample_rate, n_samples, duration_ms). Same operating rules as the
-    image decoder: small batches for big payloads, per-actor codec state."""
-
-    def __init__(self):
-        self.magic = AUDIO_MAGIC
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rates, samples, durs, n_bytes, ok = [], [], [], [], []
-        for payload in batch["payload"].to_pylist():
-            n_bytes.append(len(payload))
-            if payload[:4] == self.magic:
-                rate = int.from_bytes(payload[4:8], "big")
-                n = int.from_bytes(payload[8:12], "big")
-                rates.append(rate)
-                samples.append(n)
-                durs.append(n * 1000 // rate)
-                ok.append(True)
-            else:
-                rates.append(0)
-                samples.append(0)
-                durs.append(0)
-                ok.append(False)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "sample_rate": pa.array(rates, pa.int64()),
-                "n_samples": pa.array(samples, pa.int64()),
-                "duration_ms": pa.array(durs, pa.int64()),
-                "n_bytes": pa.array(n_bytes, pa.int64()),
-                "decode_ok": pa.array(ok, pa.bool_()),
-            }
-        )
+def decode_audio_batch(batch: pa.Table) -> pa.Table:
+    """Audio decode kernel: parse the binary header -> typed metadata
+    (sample_rate, n_samples, duration_ms)."""
+    rates, samples, durs, n_bytes, ok = [], [], [], [], []
+    for payload in batch["payload"].to_pylist():
+        n_bytes.append(len(payload))
+        if payload[:4] == AUDIO_MAGIC:
+            rate = int.from_bytes(payload[4:8], "big")
+            n = int.from_bytes(payload[8:12], "big")
+            rates.append(rate)
+            samples.append(n)
+            durs.append(n * 1000 // rate)
+            ok.append(True)
+        else:
+            rates.append(0)
+            samples.append(0)
+            durs.append(0)
+            ok.append(False)
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "sample_rate": pa.array(rates, pa.int64()),
+            "n_samples": pa.array(samples, pa.int64()),
+            "duration_ms": pa.array(durs, pa.int64()),
+            "n_bytes": pa.array(n_bytes, pa.int64()),
+            "decode_ok": pa.array(ok, pa.bool_()),
+        }
+    )
 
 
 def decode_audio(media: Dataset) -> Dataset:
-    """Audio branch: filter kind == 'audio', decode headers in an actor pool."""
+    """Audio branch: filter kind == 'audio', decode headers in Ray tasks
+    (small batches, as for images)."""
     return (
         media.filter(expr="kind == 'audio'")
-        .map_batches(FakeAudioDecoder, batch_format="pyarrow",
-                     batch_size=256, concurrency=_media_pool())
+        .map_batches(decode_audio_batch, batch_format="pyarrow", batch_size=256)
     )
 
 
 def resample_plan(decoded: Dataset, target_rate: int = 16000) -> Dataset:
     """Resample planning on decoded audio metadata (integer math only, so
     the output is deterministic and oracle-checkable; a real implementation
-    applies the plan to sample buffers inside the decode actor pool)."""
+    applies the plan to sample buffers inside the decode task)."""
 
     def plan(batch: pa.Table) -> pa.Table:
         rates = batch["sample_rate"].to_pylist()

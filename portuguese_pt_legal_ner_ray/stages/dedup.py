@@ -404,8 +404,6 @@ def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
     """
     import ray
 
-    from .shuffle import pool_size
-
     n = docs.count()
     if n > max_rows:
         raise ValueError(
@@ -417,27 +415,23 @@ def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
     items = sorted((i, frozenset(t)) for i, t in zip(df["doc_id"], df[text_col]))
     items_ref = ray.put(items)  # broadcast once; outer loop is distributed
 
-    class PairScan:
-        def __init__(self):
-            self.items = ray.get(items_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            a_out, b_out = [], []
-            for ia, text in zip(batch["doc_id"].to_pylist(), batch[text_col].to_pylist()):
-                sa = frozenset(text)
-                for ib, sb in self.items:
-                    if ib <= ia:
-                        continue
-                    inter = len(sa & sb)
-                    if inter and inter / (len(sa) + len(sb) - inter) >= threshold:
-                        a_out.append(ia)
-                        b_out.append(ib)
-            return pa.table({"id_a": pa.array(a_out, pa.int64()),
-                             "id_b": pa.array(b_out, pa.int64())})
+    def pair_scan(batch: pa.Table, items_ref) -> pa.Table:
+        items = ray.get(items_ref)
+        a_out, b_out = [], []
+        for ia, text in zip(batch["doc_id"].to_pylist(), batch[text_col].to_pylist()):
+            sa = frozenset(text)
+            for ib, sb in items:
+                if ib <= ia:
+                    continue
+                inter = len(sa & sb)
+                if inter and inter / (len(sa) + len(sb) - inter) >= threshold:
+                    a_out.append(ia)
+                    b_out.append(ib)
+        return pa.table({"id_a": pa.array(a_out, pa.int64()),
+                         "id_b": pa.array(b_out, pa.int64())})
 
     return docs.select_columns(["doc_id", text_col]).map_batches(
-        PairScan, batch_format="pyarrow", concurrency=pool_size()
-    )
+        pair_scan, batch_format="pyarrow", fn_kwargs=dict(items_ref=items_ref))
 
 
 def simhash_buckets(docs: Dataset, text_col: str = "text") -> Dataset:

@@ -1,9 +1,10 @@
 """Join helpers for Ray Data (SURVEY.md §2.4 — the reference has no joins;
 the target pipeline adds broadcast lookups and a partitioned hash join).
 
-* ``BroadcastLookup`` — small-side lookup: the mapping dict is put in the
-  object store ONCE (``ray.put`` on the driver) and resolved once per task
-  from the local object store, never re-shipped per batch.
+* ``broadcast_lookup_task`` — small-side lookup as a plain Ray task: the
+  mapping dict is put in the object store ONCE (``ray.put`` on the driver)
+  and each worker builds its ``BroadcastLookup`` kernel once per mapping
+  ref (``shuffle.worker_cached``), never re-shipped per batch.
 * ``hash_join`` / ``hash_left_join`` / ``hash_semi_join`` /
   ``hash_anti_join`` — both-sides-large equi-joins (SQL inner, LEFT OUTER,
   EXISTS, NOT EXISTS). All four are thin wrappers over ONE bucketed plan
@@ -29,15 +30,15 @@ import pyarrow.compute as pc
 import ray
 from ray.data.dataset import MaterializedDataset
 
-from .shuffle import exchange
+from .shuffle import exchange, worker_cached
 
 
 class BroadcastLookup:
-    """map_batches callable: adds columns by dict lookup on a key column.
+    """Batch kernel: adds a column by dict lookup on a key column.
 
-    ``mapping_ref`` is a ``ray.ObjectRef`` to a dict; fetched once per actor
-    (zero-copy shared memory on one node; one transfer per node in a
-    cluster).
+    ``mapping_ref`` is a ``ray.ObjectRef`` to a dict, fetched once per
+    kernel (zero-copy shared memory on one node; one transfer per node in a
+    cluster). Run it through :func:`broadcast_lookup_task`.
     """
 
     def __init__(self, mapping_ref, key_col: str, out_col: str, default=None):
@@ -136,6 +137,23 @@ class BroadcastLookup:
                 mapped = mapped.astype(np.int64)  # undo the NaN float64 promote
         batch[self.out_col] = mapped
         return batch
+
+
+_LOOKUPS: dict[tuple, BroadcastLookup] = {}
+
+
+def broadcast_lookup_task(batch: pd.DataFrame, mapping_ref, key_col: str,
+                          out_col: str, default=None) -> pd.DataFrame:
+    """Task-mode broadcast lookup:
+    ``map_batches(broadcast_lookup_task, batch_format="pandas",
+    fn_kwargs=dict(mapping_ref=..., key_col=..., out_col=...))``.
+
+    Each worker builds the ``BroadcastLookup`` kernel (one ``ray.get`` plus
+    the sorted int64 arrays) once per mapping ref and argument set."""
+    kernel = worker_cached(
+        _LOOKUPS, (mapping_ref.binary(), key_col, out_col, repr(default)),
+        lambda: BroadcastLookup(mapping_ref, key_col, out_col, default))
+    return kernel(batch)
 
 
 def _key_list(key) -> list[str]:

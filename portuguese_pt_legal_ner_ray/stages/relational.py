@@ -36,7 +36,6 @@ def _dim_table(path: str, columns: list[str] | None = None):
 
     return pq.read_table(path, columns=columns).to_pandas()
 from .joins import hash_join
-from .shuffle import pool_size
 from .shuffle import grouped_count
 
 
@@ -143,7 +142,7 @@ def parts_per_brand(sf_dir: str) -> Dataset:
 
 def lineitems_per_supplier_nation(sf_dir: str) -> Dataset:
     """lineitem → per-supplier combiner count → supplier+nation broadcast
-    lookups (two chained ``BroadcastLookup`` stages) → per-nation count.
+    lookups (two chained ``broadcast_lookup_task`` stages) → per-nation count.
 
     The fact-side shuffle moves one row per supplier, not per lineitem;
     both dimension tables ride the object store once.
@@ -153,20 +152,20 @@ def lineitems_per_supplier_nation(sf_dir: str) -> Dataset:
     supp = _dim_table(f"{sf_dir}/supplier.parquet",
                       columns=["s_suppkey", "s_nationkey"])
     nation = _dim_table(f"{sf_dir}/nation.parquet")
-    from .joins import BroadcastLookup
+    from .joins import broadcast_lookup_task
 
     nk_ref = ray.put(dict(zip(supp["s_suppkey"], supp["s_nationkey"])))
     name_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
     from .shuffle import grouped_agg
 
     keyed = per_supp.map_batches(
-        BroadcastLookup, batch_format="pandas", concurrency=pool_size(),
-        fn_constructor_kwargs=dict(mapping_ref=nk_ref, key_col="l_suppkey",
-                                   out_col="nationkey"),
+        broadcast_lookup_task, batch_format="pandas",
+        fn_kwargs=dict(mapping_ref=nk_ref, key_col="l_suppkey",
+                       out_col="nationkey"),
     ).map_batches(
-        BroadcastLookup, batch_format="pandas", concurrency=pool_size(),
-        fn_constructor_kwargs=dict(mapping_ref=name_ref, key_col="nationkey",
-                                   out_col="n_name"),
+        broadcast_lookup_task, batch_format="pandas",
+        fn_kwargs=dict(mapping_ref=name_ref, key_col="nationkey",
+                       out_col="n_name"),
     )
     return grouped_agg(keyed, ["n_name"], {"n_lineitems": ("n", "sum")},
                        pre_aggregated=True)

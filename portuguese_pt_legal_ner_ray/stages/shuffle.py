@@ -29,15 +29,6 @@ from ray.data import Dataset
 _SEP = "\x1f"
 
 
-def pool_size() -> tuple[int, int]:
-    """Actor-pool bounds scaled to the session's CPU width — THE shared
-    sizing policy (a hard-coded cap runs a stage at a fraction of a wide
-    cluster; pools autoscale from 1 so tiny inputs don't pay spin-up)."""
-    import ray
-
-    return (1, max(2, int(ray.cluster_resources().get("CPU", 8))))
-
-
 def worker_cached(store: dict, key, build):
     """Per-worker memo for task-mode ``map_batches`` functions — THE shared
     caching policy. Ray reuses worker processes across tasks, so what

@@ -10,16 +10,15 @@
 * ``ann_topk`` — THE default ANN entry point, index-first: with an
   ``index_dir`` it builds/reuses the persisted cell-partitioned IVF index
   (``ivf_build``/``ivf_query``) so queries read ONLY probed partitions —
-  the 100-TB serving shape; without one it falls back to the one-shot
-  ``ivf_topk``.
-* ``ivf_topk`` — one-shot no-index fallback: k-means-lite (deterministic
-  seeded centroids from the data itself) assigns each vector to a coarse
-  cell; queries probe only the ``nprobe`` nearest cells, so compute per
-  query is corpus_fraction × brute force, BUT the assignment matmul is a
-  full-corpus pass paid on every call — measured slower than brute force
-  at small query counts (BASELINE.md). Same output contract; recall < 1
-  vs the exact path by design — hash-checked against the sequential IVF
-  mirror (oracle_mirrors.py) plus a recall test vs brute force.
+  the 100-TB serving shape; without one it runs ``brute_force_topk``.
+* ``embedding_near_dup_pairs_ivf`` — cell-routed near-dup pairs: one
+  assignment pass to the coarse cells, then ``shuffle.exchange`` on the
+  cell, pairs scored within each cell only. Hash-checked against the
+  sequential IVF mirror (oracle_mirrors.py).
+
+Every scan runs as plain Ray tasks; a kernel with per-worker state
+(``_PartialTopK``, ``_ProbedTopK``) is built once per worker and argument
+set through ``shuffle.worker_cached``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import ray
 from ray.data import Dataset
 
 from ..sources.parquet import sized_read_parquet
-from .shuffle import pool_size, worker_cached
+from .shuffle import exchange, worker_cached
 
 
 def _norm_rows(m: np.ndarray) -> np.ndarray:
@@ -104,6 +103,47 @@ def partial_topk_task(batch: pa.Table, queries_ref, k: int, emb_col: str,
     return kernel(batch)
 
 
+class _ProbedTopK(_PartialTopK):
+    """Per-batch scores of an IVF index's probed rows: each query keeps the
+    top-(k+1) rows by (sim desc, vec_id asc) among the rows whose
+    ``cell_id`` is on its own probe list (+1 so the final reduce can drop a
+    self-hit)."""
+
+    def __init__(self, queries_ref, probe_ref, k: int, emb_col: str, id_col: str):
+        super().__init__(queries_ref, k, emb_col, id_col)
+        self.probe = ray.get(probe_ref)  # {query_id: sorted cell ids}
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        mat = _norm_rows(_emb_matrix(batch, self.emb_col))
+        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
+        cells = batch["cell_id"].to_numpy(zero_copy_only=False)
+        sims = self.q_mat @ mat.T  # [nq, batch] — probed partitions only
+        q_out, id_out, sim_out = [], [], []
+        for qi, qid in enumerate(self.q_ids):
+            cand = np.flatnonzero(np.isin(cells, self.probe[int(qid)]))
+            top = cand[np.lexsort((ids[cand], -sims[qi, cand]))][: self.k + 1]
+            q_out += [qid] * len(top)
+            id_out += ids[top].tolist()
+            sim_out += sims[qi, top].tolist()
+        return pa.table(
+            {
+                "query_id": pa.array(q_out, pa.int64()),
+                "vec_id": pa.array(id_out, pa.int64()),
+                "sim": pa.array(sim_out, pa.float64()),
+            }
+        )
+
+
+def probed_topk_task(batch: pa.Table, queries_ref, probe_ref, k: int,
+                     emb_col: str, id_col: str) -> pa.Table:
+    """Task-mode scan of :func:`ivf_query`, cached per worker like
+    :func:`partial_topk_task`, keyed on both refs and the arguments."""
+    kernel = worker_cached(
+        _TASK_KERNELS, (queries_ref.binary(), probe_ref.binary(), k, emb_col, id_col),
+        lambda: _ProbedTopK(queries_ref, probe_ref, k, emb_col, id_col))
+    return kernel(batch)
+
+
 def brute_force_topk(
     vectors: Dataset,
     queries_ref,
@@ -136,8 +176,6 @@ def _topk_reduce(partials: Dataset, k: int, exclude_self: bool = True) -> Datase
     the reduce stays flat when a caller broadcasts millions of query
     vectors."""
     import pandas as pd
-
-    from .shuffle import exchange
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if exclude_self:
@@ -223,7 +261,8 @@ def embedding_near_dup_pairs_ivf(
     train_iters: int = 0,
 ) -> Dataset:
     """Cell-routed near-dup pairs: assign each vector to its nearest coarse
-    centroid, ``groupby(cell)``, score pairs only WITHIN each cell.
+    centroid, route the cells through ``shuffle.exchange``, score pairs
+    only WITHIN each cell.
 
     The scale path ``embedding_near_dup_pairs`` promises: nothing is
     materialized on the driver (centroids are a partial-top-k pick of
@@ -241,34 +280,35 @@ def embedding_near_dup_pairs_ivf(
         cents = deterministic_centroids(vectors, n_cells, emb_col, id_col)
     cents_ref = ray.put(cents)
 
-    class AssignCell:
-        def __init__(self):
-            self.cents = ray.get(cents_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _norm_rows(_emb_matrix(batch, emb_col))
-            cells = (mat @ self.cents.T).argmax(axis=1)
-            return batch.append_column("__cell", pa.array(cells, pa.int64()))
+    def assign_cell(batch: pa.Table, cents_ref) -> pa.Table:
+        mat = _norm_rows(_emb_matrix(batch, emb_col))
+        cells = (mat @ ray.get(cents_ref).T).argmax(axis=1)
+        return batch.append_column("__cell", pa.array(cells, pa.int64()))
 
     def cell_pairs(g: pa.Table) -> pa.Table:
+        # a sorted block holds whole buckets, each of one or more cells:
+        # pair only rows of one cell
+        cells = g["__cell"].to_numpy(zero_copy_only=False)
         ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids)
-        ids = ids[order]
+        order = np.lexsort((ids, cells))
+        cells, ids = cells[order], ids[order]
         mat = _norm_rows(_emb_matrix(g, emb_col))[order]
-        sims = mat @ mat.T
-        iu = np.triu_indices(len(ids), k=1)
-        keep = sims[iu] >= threshold
+        cuts = np.flatnonzero(np.diff(cells)) + 1
+        a_out, b_out = [], []
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]):
+            sims = mat[lo:hi] @ mat[lo:hi].T
+            iu = np.triu_indices(hi - lo, k=1)
+            keep = sims[iu] >= threshold
+            a_out.append(ids[lo:hi][iu[0][keep]])
+            b_out.append(ids[lo:hi][iu[1][keep]])
         return pa.table({
-            "id_a": pa.array(ids[iu[0][keep]], pa.int64()),
-            "id_b": pa.array(ids[iu[1][keep]], pa.int64()),
+            "id_a": pa.array(np.concatenate(a_out), pa.int64()),
+            "id_b": pa.array(np.concatenate(b_out), pa.int64()),
         })
 
-    return (
-        vectors.select_columns([id_col, emb_col])
-        .map_batches(AssignCell, batch_format="pyarrow", concurrency=pool_size())
-        .groupby("__cell")
-        .map_groups(cell_pairs, batch_format="pyarrow")
-    )
+    assigned = vectors.select_columns([id_col, emb_col]).map_batches(
+        assign_cell, batch_format="pyarrow", fn_kwargs=dict(cents_ref=cents_ref))
+    return exchange(assigned, ["__cell"], cell_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,102 +340,6 @@ def deterministic_centroids(vectors: Dataset, n_cells: int,
         .sort_values(id_col)
     )
     return _norm_rows(np.array(df[emb_col].tolist(), dtype=np.float64))
-
-
-def ivf_topk(
-    vectors: Dataset,
-    queries_ref,
-    k: int = 10,
-    n_cells: int = 16,
-    nprobe: int = 4,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
-    train_iters: int = 0,
-) -> Dataset:
-    """Approximate top-k: probe only the ``nprobe`` closest coarse cells.
-
-    ``train_iters > 0`` refines the medoid seeds with that many distributed
-    Lloyd rounds (:func:`kmeans_centroids`) — better-balanced cells, higher
-    recall per probe, at one streamed pass per round."""
-    if train_iters > 0:
-        cents = kmeans_centroids(vectors, n_cells, train_iters, emb_col, id_col)
-    else:
-        cents = deterministic_centroids(vectors, n_cells, emb_col, id_col)
-    cents_ref = ray.put(cents)
-    q = ray.get(queries_ref)
-    q_probe = np.argsort(-(_norm_rows(q["mat"]) @ cents.T), axis=1)[:, :nprobe]
-    probe_ref = ray.put({qid: np.sort(cells) for qid, cells in zip(q["ids"], q_probe)})
-    union_ref = ray.put(np.unique(q_probe))
-
-    class CellPartial(_PartialTopK):
-        """Sublinear scan: the only full-corpus work per batch is the cell
-        assignment (one ``n × n_cells`` matmul — the IVF index-build cost).
-        Rows outside the UNION of all probed cells are dropped BEFORE the
-        expensive ``q_mat @ mat.T`` matmul, so query compute scales with the
-        probed corpus fraction (nprobe/n_cells on balanced cells), not with
-        corpus size. Pruning at the scan beats a ``groupby(cell)`` route
-        here: same compute bound, no all-to-all shuffle of the vectors."""
-
-        def __init__(self, queries_ref, k, emb_col, id_col):
-            super().__init__(queries_ref, k, emb_col, id_col)
-            self.cents = ray.get(cents_ref)
-            self.probe = ray.get(probe_ref)
-            self.union = ray.get(union_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _norm_rows(_emb_matrix(batch, self.emb_col))
-            cells = (mat @ self.cents.T).argmax(axis=1)
-            keep = np.isin(cells, self.union)
-            if not keep.any():
-                return _EMPTY_CANDIDATES
-            mat = mat[keep]
-            cells = cells[keep]
-            ids = batch[self.id_col].to_numpy(zero_copy_only=False)[keep]
-            sims = self.q_mat @ mat.T  # [nq, kept] — probed fraction only
-            return _emit_probed_candidates(self.q_ids, self.k, sims, ids,
-                                           cells, self.probe)
-
-    partials = vectors.map_batches(
-        CellPartial,
-        batch_format="pyarrow",
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k,
-                                   emb_col=emb_col, id_col=id_col),
-        concurrency=pool_size(),
-    )
-    return _topk_reduce(partials, k)
-
-
-_EMPTY_CANDIDATES = pa.table(
-    {
-        "query_id": pa.array([], pa.int64()),
-        "vec_id": pa.array([], pa.int64()),
-        "sim": pa.array([], pa.float64()),
-    }
-)
-
-
-def _emit_probed_candidates(q_ids, k, sims, ids, cells, probe) -> pa.Table:
-    """Per-query candidate emission restricted to that query's probe list:
-    the top-(k+1) rows by (sim desc, vec_id asc) among rows whose cell the
-    query probes (+1 so the final reduce can drop a self-hit)."""
-    q_out, id_out, sim_out = [], [], []
-    for qi, qid in enumerate(q_ids):
-        mask = np.isin(cells, probe[int(qid)])
-        if not mask.any():
-            continue
-        cand = np.where(mask)[0]
-        order = cand[np.lexsort((ids[cand], -sims[qi, cand]))][: k + 1]
-        for ci in order:
-            q_out.append(qid)
-            id_out.append(ids[ci])
-            sim_out.append(sims[qi, ci])
-    return pa.table(
-        {
-            "query_id": pa.array(q_out, pa.int64()),
-            "vec_id": pa.array(id_out, pa.int64()),
-            "sim": pa.array(sim_out, pa.float64()),
-        }
-    )
 
 
 def kmeans_centroids(
@@ -468,11 +412,8 @@ def ivf_build(
     pass writes parquet hive-partitioned by coarse cell (plus the tiny
     centroid matrix next to it).
 
-    This is the genuinely sublinear serving path: :func:`ivf_topk` prunes
-    candidate EMISSION per batch but still pays the ``n x n_cells``
-    assignment matmul on every query set (a full-corpus pass — measured
-    slower than brute force for small query counts). With the index
-    persisted, :func:`ivf_query` reads ONLY the probed cell partitions, so
+    This is the sublinear serving path: with the index persisted,
+    :func:`ivf_query` reads ONLY the probed cell partitions, so
     per-query-set I/O and compute both scale with ``nprobe / n_cells``,
     independent of corpus size. Build cost amortizes across query sets, the
     same trade every production ANN index makes. Partitioned output doubles
@@ -618,27 +559,11 @@ def ivf_query(
             "vec_id": pa.array([], pa.int64()),
         }))
     probed = sized_read_parquet(paths, columns=[id_col, emb_col, "cell_id"])
-    probe_ref = ray.put(probe)
-
-    class ProbedPartial(_PartialTopK):
-        def __init__(self, queries_ref, k, emb_col, id_col):
-            super().__init__(queries_ref, k, emb_col, id_col)
-            self.probe = ray.get(probe_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _norm_rows(_emb_matrix(batch, self.emb_col))
-            ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-            cells = batch["cell_id"].to_numpy(zero_copy_only=False)
-            sims = self.q_mat @ mat.T  # [nq, batch] — probed partitions only
-            return _emit_probed_candidates(self.q_ids, self.k, sims, ids,
-                                           cells, self.probe)
-
     partials = probed.map_batches(
-        ProbedPartial,
+        probed_topk_task,
         batch_format="pyarrow",
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k,
-                                   emb_col=emb_col, id_col=id_col),
-        concurrency=pool_size(),
+        fn_kwargs=dict(queries_ref=queries_ref, probe_ref=ray.put(probe), k=k,
+                       emb_col=emb_col, id_col=id_col),
     )
     return _topk_reduce(partials, k)
 
@@ -664,16 +589,14 @@ def ann_topk(
     per-query-set cost tracks ``nprobe / n_cells``, independent of corpus
     size, and the build amortizes across query sets.
 
-    Without ``index_dir`` (explicit no-index fallback): the one-shot
-    :func:`ivf_topk`, which pays a full-corpus assignment matmul on every
-    call — measured SLOWER than brute force at small query counts
-    (BASELINE.md). Reach for it only when the corpus will be queried once.
+    Without ``index_dir``: the exact :func:`brute_force_topk` (``nprobe``,
+    ``n_cells`` and ``train_iters`` are unused).
     """
     from pathlib import Path
 
     if index_dir is None:
-        return ivf_topk(vectors, queries_ref, k=k, n_cells=n_cells,
-                        nprobe=nprobe, emb_col=emb_col, id_col=id_col)
+        return brute_force_topk(vectors, queries_ref, k=k, emb_col=emb_col,
+                                id_col=id_col)
     index = Path(index_dir)
     if not (index / "centroids.npy").exists():
         ivf_build(vectors, index, n_cells=n_cells, emb_col=emb_col,

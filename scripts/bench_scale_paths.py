@@ -1,28 +1,21 @@
 """Scale-path evidence benches (VERDICT r3 items #1 and #2 done-criteria).
 
-1. ``--ivf``: ivf_topk compute must scale with the probed corpus fraction
-   (nprobe/n_cells), not corpus size. Times the query over a synthetic
-   512k x 64 vector table at nprobe in {1, 4, 16, 64} with n_cells=64 and
-   1024 queries (enough that the query matmul dominates the fixed
-   read + cell-assignment cost) — sublinear pruning shows as wall time
-   growing with nprobe while the fixed costs stay flat.
-2. ``--link``: ``linking.link`` with banding in the driver vs as Ray tasks
+1. ``--link``: ``linking.link`` with banding in the driver vs as Ray tasks
    (the two placements ``DRIVER_CC_MAX_KEYS`` chooses between) on the same
    200k (``--keys N``) synthetic linkable keys plus one hot cluster;
    asserts equal maps and equal verified-pair counts, and prints each
    side's wall time.
-
-3. ``--edges-skew``: the edges ``grouped_count`` under adversarial key
+2. ``--edges-skew``: the edges ``grouped_count`` under adversarial key
    skew (one exact triple / one hub entity at 40% of 5M rows) vs a uniform
    baseline — the combiner + full-composite-key bucket hash should keep
    the delta under 2x (VERDICT r4 #5; see bench_edges_skew docstring).
-4. ``--ann-index``: persisted-index query set vs one-shot ivf_topk at the
-   same nprobe on 512k vectors (VERDICT r4 #2 done-criterion; see
-   bench_ann_index_vs_oneshot docstring for the small-table caveat).
+3. ``--ann-index``: persisted-index query set vs exact brute_force_topk
+   on 512k vectors (see bench_ann_index_vs_brute docstring for the
+   small-table caveat).
 
 Results are recorded in BASELINE.md. Owns its Ray session (script entry).
 
-    python scripts/bench_scale_paths.py --ivf --link --edges-skew [--cpus 32]
+    python scripts/bench_scale_paths.py --link --edges-skew [--cpus 32]
     python scripts/bench_scale_paths.py --link --keys 20000 --cpus 4
 """
 
@@ -58,37 +51,20 @@ def ensure_vectors(n: int = 512_000, dim: int = 64) -> Path:
     return path
 
 
-def bench_ivf(cpus: int) -> dict:
-    import ray
-
-    from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
-    from portuguese_pt_legal_ner_ray.stages.similarity import ivf_topk, make_query_ref
-
-    path = ensure_vectors()
-    out: dict = {}
-    n_cells = 64
-    for nprobe in (1, 4, 16, 64):
-        vecs = sized_read_parquet(str(path), min_blocks=cpus)
-        qref = make_query_ref(vecs, list(range(1024)))
-        t0 = time.time()
-        n = ivf_topk(vecs, qref, k=10, n_cells=n_cells, nprobe=nprobe).count()
-        out[f"nprobe_{nprobe}"] = round(time.time() - t0, 2)
-        assert n > 0
-    out["n_cells"] = n_cells
-    return out
-
-
 def _link_partials(n_keys: int = 200_000, hot: int = 2_000) -> Path:
     """A ``mentions/`` directory (16 Parquet files) of mention partials over
     ``n_keys`` linkable keys: groups of 4 spelling variants of one random
     name (so most groups link), plus one hot cluster of ``hot``
-    near-identical variants (one band key far above ``SALT_THRESHOLD``)."""
+    near-identical variants (one band key far above ``SALT_THRESHOLD``),
+    capped at a tenth of ``n_keys`` so a small run links ordinary groups
+    too."""
     import shutil
 
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    hot = min(hot, n_keys // 10)
     rng = np.random.default_rng(11)
     letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
     labels = ("PER", "ORG", "LOC")
@@ -137,23 +113,22 @@ def bench_link(n_keys: int = 200_000) -> dict:
     return out
 
 
-def bench_ann_index_vs_oneshot(cpus: int) -> dict:
-    """Indexed query set vs one-shot ivf_topk at the SAME nprobe (VERDICT
-    r4 #2 done-criterion). 512k x 64 vectors, 1024 queries, nprobe=4 of 64
-    cells: the one-shot path pays the full-corpus assignment matmul per
-    call; ivf_query reads only the 4 probed cell partitions. At the
-    sf0.1 embeddings table (2,000 vectors, one block) the index CANNOT
-    win — file-planning overhead exceeds a single-block scan, measured
-    and recorded honestly in BASELINE.md — the crossover needs a corpus
-    larger than one block, which this table provides.
+def bench_ann_index_vs_brute(cpus: int) -> dict:
+    """Indexed query set vs exact ``brute_force_topk`` (the no-index path
+    of ``ann_topk``). 512k x 64 vectors, 1024 queries, nprobe=4 of 64
+    cells: brute force scores every vector; ivf_query reads only the 4
+    probed cell partitions. At the sf0.1 embeddings table (2,000 vectors,
+    one block) the index CANNOT win — file-planning overhead exceeds a
+    single-block scan (BASELINE.md) — the crossover needs a corpus larger
+    than one block, which this table provides.
     """
     import tempfile
 
     from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
     from portuguese_pt_legal_ner_ray.stages.similarity import (
+        brute_force_topk,
         ivf_build,
         ivf_query,
-        ivf_topk,
         make_query_ref,
     )
 
@@ -169,13 +144,13 @@ def bench_ann_index_vs_oneshot(cpus: int) -> dict:
     ivf_query(idx, qref, k=10, nprobe=4).count()
     t_index = time.time() - t0
     t0 = time.time()
-    ivf_topk(vecs, qref, k=10, n_cells=64, nprobe=4).count()
-    t_oneshot = time.time() - t0
+    brute_force_topk(vecs, qref, k=10).count()
+    t_brute = time.time() - t0
     return {"vectors": 512_000, "queries": 1024, "nprobe": 4, "n_cells": 64,
             "build_sec": round(build, 2),
             "indexed_query_sec": round(t_index, 2),
-            "one_shot_sec": round(t_oneshot, 2),
-            "speedup": round(t_oneshot / t_index, 2)}
+            "brute_sec": round(t_brute, 2),
+            "speedup": round(t_brute / t_index, 2)}
 
 
 def bench_edges_skew(n_rows: int = 5_000_000, hot_frac: float = 0.4) -> dict:
@@ -261,8 +236,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
     out: dict = {"num_cpus": cpus}
-    if "--ivf" in sys.argv:
-        out["ivf_topk_512k"] = bench_ivf(cpus)
     if "--link" in sys.argv:
         keys = 200_000
         if "--keys" in sys.argv:
@@ -271,7 +244,7 @@ def main():
     if "--edges-skew" in sys.argv:
         out["edges_skew_5m"] = bench_edges_skew()
     if "--ann-index" in sys.argv:
-        out["ann_index_vs_oneshot_512k"] = bench_ann_index_vs_oneshot(cpus)
+        out["ann_index_vs_brute_512k"] = bench_ann_index_vs_brute(cpus)
     print(json.dumps(out))
     ray.shutdown()
 

@@ -3,14 +3,16 @@
 Synthesizes a deterministic clustered vector table (N x d, anchors on
 ``n_cells`` directions so coarse cells are meaningful), then times
 
-  * exact brute-force cosine top-k (the oracle baseline), and
-  * ivf_topk at nprobe in {1, 4, 16} over the SAME table,
+  * exact brute-force cosine top-k (the oracle baseline), from the object
+    store and from Parquet on disk, and
+  * one ``ivf_build`` of the persisted index, then ``ivf_query`` at nprobe
+    in {1, 4, 16} over the SAME table,
 
-and reports recall@k of each IVF run against the brute-force truth.
-Expected shape: IVF wall time decreases monotonically with nprobe toward
-the cell-assignment floor (the one n x n_cells matmul every batch pays),
-while brute force pays the full n x nq matmul — the gap is the pruned
-corpus fraction. One JSON line on stdout; results recorded in BASELINE.md.
+and reports recall@k of each indexed query against the brute-force truth.
+Expected shape: indexed query time grows with nprobe (it reads and scores
+only the probed cells), while brute force pays the full n x nq matmul — the
+gap is the pruned corpus fraction. One JSON line on stdout; results
+recorded in BASELINE.md.
 
     python scripts/ivf_scaling.py [--n 2000000] [--cpus 32]
 """
@@ -83,7 +85,8 @@ def main() -> None:
     from portuguese_pt_legal_ner_ray.sources.parquet import sized_read_parquet
     from portuguese_pt_legal_ner_ray.stages.similarity import (
         brute_force_topk,
-        ivf_topk,
+        ivf_build,
+        ivf_query,
     )
 
     vecs = make_vectors(args.n)
@@ -121,20 +124,10 @@ def main() -> None:
     result = {"n": args.n, "d": D, "n_cells": N_CELLS, "nq": N_QUERIES,
               "k": K, "num_cpus": args.cpus, "brute_sec": t_brute,
               "brute_from_disk_sec": t_brute_disk,
-              "ivf_oneshot": {}, "ivf_index": {}}
-    # one-shot scan (no index): pays the full-corpus assignment matmul per
-    # query set — recorded to show WHY the persisted index exists
-    for nprobe in (1, 4, 16):
-        t_ivf, got = run(lambda np_=nprobe: ivf_topk(
-            vecs, qref, k=K, n_cells=N_CELLS, nprobe=np_))
-        result["ivf_oneshot"][str(nprobe)] = {
-            "sec": t_ivf, "recall_at_k": round(recall_vs(truth, got), 4),
-        }
+              "ivf_index": {}}
     # persisted index: build once (streamed assignment + partitioned write),
     # then queries read ONLY probed partitions — I/O and compute scale with
     # nprobe/n_cells, independent of corpus size
-    from portuguese_pt_legal_ner_ray.stages.similarity import ivf_build, ivf_query
-
     index_dir = "/dev/shm/kgray_ivf_index"
     t0 = time.time()
     ivf_build(vecs, index_dir, n_cells=N_CELLS)

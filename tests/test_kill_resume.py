@@ -146,19 +146,17 @@ with open({out!r}, "w") as f:
 """
 
 
-def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
-    """Every ``ops`` query makes progress with one Ray CPU and equals its
-    DuckDB ``oracle_sql()`` result. ~10 s on a 4-core host; with the former
-    8-block read floor ``rel_orders_per_nation`` never finished."""
+def _one_cpu_queries_match_duckdb(tmp_path, monkeypatch, names, stubs):
+    """Run the registry queries ``names`` in one fresh ``num_cpus=1`` Ray
+    session (a subprocess killed after 120 s), then check each against its
+    DuckDB ``oracle_sql()`` result. ``stubs`` are the (module, name)
+    golden-table functions that ``oracle_sql()`` calls and whose tables
+    these queries do not read; they are replaced by no-ops."""
     import json
     import shutil
     import tempfile
 
     import duckdb
-
-    import portuguese_pt_legal_ner_ray.oracle as oracle
-    import portuguese_pt_legal_ner_ray.oracle_mirrors as mirrors
-    import portuguese_pt_legal_ner_ray.sources.multimodal as mm
 
     out = tmp_path / "got.json"
     # own short temp dir: the session's socket paths must stay under the
@@ -167,7 +165,7 @@ def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
     ray_tmp = tempfile.mkdtemp(prefix="ray1cpu")
     code = ONE_CPU_OPS_RUNNER.format(
         repo=str(REPO), scripts=str(REPO / "scripts"), ray_tmp=ray_tmp,
-        sf=SF001, names=OPS_QUERIES, out=str(out))
+        sf=SF001, names=names, out=str(out))
     proc = subprocess.Popen([sys.executable, "-c", code], cwd=REPO,
                             start_new_session=True, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -176,15 +174,12 @@ def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        raise AssertionError("the ops queries at num_cpus=1 did not finish in 120 s")
+        raise AssertionError(f"{names} at num_cpus=1 did not finish in 120 s")
     finally:
         shutil.rmtree(ray_tmp, ignore_errors=True)
     got = json.loads(out.read_text())
 
-    # oracle_sql() builds KG goldens first; these queries read none of them
-    for mod, name in [(oracle, "ensure_goldens"),
-                      (mirrors, "ensure_mirror_goldens"),
-                      (mm, "ensure_media_table")]:
+    for mod, name in stubs:
         monkeypatch.setattr(mod, name, lambda *_a, **_k: Path("unused"))
     monkeypatch.syspath_prepend(str(REPO / "scripts"))
     monkeypatch.syspath_prepend(str(REPO))
@@ -193,11 +188,83 @@ def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
 
     sqls = __ray_entry__.oracle_sql()
     con = duckdb.connect()
-    for t in ("customer", "orders", "lineitem", "nation", "events",
+    for t in ("customer", "orders", "lineitem", "supplier", "nation", "events",
               "documents", "embeddings"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF001}/{t}.parquet')")
-    for q in OPS_QUERIES:
+    for q in names:
         assert got[q] == list(canon(con.execute(sqls[q]).arrow())), q
+
+
+def test_one_cpu_ray_ops_queries_finish(tmp_path, monkeypatch):
+    """Every ``ops`` query makes progress with one Ray CPU and equals its
+    DuckDB ``oracle_sql()`` result. ~10 s on a 4-core host; with the former
+    8-block read floor ``rel_orders_per_nation`` never finished."""
+    import portuguese_pt_legal_ner_ray.oracle as oracle
+    import portuguese_pt_legal_ner_ray.oracle_mirrors as mirrors
+    import portuguese_pt_legal_ner_ray.sources.multimodal as mm
+
+    # oracle_sql() builds KG goldens first; these queries read none of them
+    _one_cpu_queries_match_duckdb(
+        tmp_path, monkeypatch, OPS_QUERIES,
+        [(oracle, "ensure_goldens"), (mirrors, "ensure_mirror_goldens"),
+         (mm, "ensure_media_table")])
+
+
+# registry queries whose stateful batch step once ran in an actor pool
+TASK_MODE_QUERIES = (
+    "rel_lineitems_per_supplier_nation", "media_resize", "media_audio_resample",
+    "near_dup_embedding_ivf", "ann_ivf_index_topk",
+)
+
+
+def test_one_cpu_ray_task_mode_queries_finish(tmp_path, monkeypatch):
+    """The queries behind the broadcast lookup, the media decoders, the IVF
+    cell assignment and the IVF index scan finish with one Ray CPU and
+    equal their DuckDB / mirror / media goldens. While those steps ran in
+    actor pools, the pool held the only CPU that its own read tasks waited
+    for, and the first three never finished."""
+    import portuguese_pt_legal_ner_ray.oracle as oracle
+
+    _one_cpu_queries_match_duckdb(tmp_path, monkeypatch, TASK_MODE_QUERIES,
+                                  [(oracle, "ensure_goldens")])
+
+
+def test_every_map_batches_runs_as_a_task():
+    """No ``map_batches`` in the package or ``__ray_entry__.py`` starts an
+    actor pool: none passes a class, ``fn_constructor_kwargs`` or
+    ``concurrency=`` (the NER stage's task cap comes only through
+    ``**ner_map_batches_kwargs(cfg)``), and ``shuffle.pool_size`` is gone.
+    A stateful kernel runs in a task through ``shuffle.worker_cached``."""
+    import ast
+
+    from portuguese_pt_legal_ner_ray.stages import shuffle
+
+    files = [*sorted((REPO / "portuguese_pt_legal_ner_ray").rglob("*.py")),
+             REPO / "__ray_entry__.py"]
+    trees = {p.relative_to(REPO): ast.parse(p.read_text()) for p in files}
+    classes = {n.name for t in trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
+    calls, bad = 0, []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                continue
+            calls += 1
+            where = f"{path}:{node.lineno}"
+            fn = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "fn"), None)
+            name = getattr(fn, "id", getattr(fn, "attr", ""))
+            if name in classes or name[:1].isupper():
+                bad.append(f"{where}: class {name}")
+            for k in node.keywords:
+                if k.arg in ("fn_constructor_kwargs", "concurrency"):
+                    bad.append(f"{where}: {k.arg}=")
+                elif k.arg is None and getattr(getattr(k.value, "func", None), "id",
+                                               None) != "ner_map_batches_kwargs":
+                    bad.append(f"{where}: **{ast.unparse(k.value)}")
+    assert calls > 20 and bad == [], bad
+    assert not hasattr(shuffle, "pool_size")
 
 
 def test_resume_invalidates_on_changed_inputs(ray_session, tmp_path):

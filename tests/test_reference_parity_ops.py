@@ -382,7 +382,7 @@ def test_cli_ann_index_first_dispatch(ray_session, tmp_path, capsys):
     """The `ann` command (the default ANN entry from the CLI): with
     --index-dir it builds the persisted index on first use, REUSES it on
     the second call, and at full probe answers exactly like brute force;
-    without --index-dir it still answers (one-shot fallback)."""
+    without --index-dir it is brute force."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -426,8 +426,11 @@ def test_cli_ann_index_first_dispatch(ray_session, tmp_path, capsys):
     assert (index / "centroids.npy").stat().st_mtime_ns == sig
     capsys.readouterr()
 
-    # explicit no-index fallback still serves
-    assert main(["ann", str(vec_path), "3", "--n-cells", "4",
+    # no index: the printed rows are brute force's, at a partial --nprobe
+    assert main(["ann", str(vec_path), "3", "--n-cells", "4", "--nprobe", "1",
                  "--k", "3"]) == 0
-    printed = capsys.readouterr().out.strip().splitlines()
-    assert len(printed) == 3  # k rows for the single query
+    printed = [json.loads(line)
+               for line in capsys.readouterr().out.strip().splitlines()]
+    want = brute_force_topk(vecs, make_query_ref(vecs, [3]), k=3).to_pandas()
+    assert sorted((r["query_id"], r["vec_id"]) for r in printed) == sorted(
+        zip(want["query_id"].tolist(), want["vec_id"].tolist()))

@@ -277,12 +277,13 @@ def test_partial_topk_tie_break_at_cutoff(ray_session):
     assert list(got["vec_id"]) == list(range(1, k + 1))
 
 
-def test_ivf_recall_reasonable(ray_session):
+def test_ivf_recall_reasonable(ray_session, tmp_path):
     import ray
 
     from portuguese_pt_legal_ner_ray.stages.similarity import (
         brute_force_topk,
-        ivf_topk,
+        ivf_build,
+        ivf_query,
         make_query_ref,
     )
 
@@ -294,7 +295,8 @@ def test_ivf_recall_reasonable(ray_session):
     }))
     qref = make_query_ref(vecs, [5])
     exact = set(brute_force_topk(vecs, qref, k=10).to_pandas()["vec_id"])
-    approx = set(ivf_topk(vecs, qref, k=10, n_cells=8, nprobe=4).to_pandas()["vec_id"])
+    ivf_build(vecs, tmp_path / "idx", n_cells=8)
+    approx = set(ivf_query(tmp_path / "idx", qref, k=10, nprobe=4).to_pandas()["vec_id"])
     assert len(exact & approx) >= 5  # >=50% recall probing half the cells
 
 
@@ -581,33 +583,6 @@ def test_run_pairs_matches_brute_force():
             assert capped == want_capped, params
             assert (np.asarray(ids)[left] <= np.asarray(ids)[right]).all()
     assert total_capped > 0
-
-def test_ivf_topk_prunes_unprobed_cells(ray_session):
-    """With two well-separated clusters and nprobe=1, results must come only
-    from the probed cluster — the unprobed cluster's rows are dropped before
-    the query matmul (VERDICT r3 item #1: sublinear scan)."""
-    import ray
-
-    from portuguese_pt_legal_ner_ray.stages.similarity import ivf_topk, make_query_ref
-
-    rng = np.random.default_rng(7)
-    n, d = 80, 8
-    mat = np.zeros((n, d))
-    # even ids cluster on e0, odd ids on e1 — so the two medoid seeds
-    # (smallest ids 0 and 1) land one per cluster
-    mat[0::2, 0] = 1.0
-    mat[1::2, 1] = 1.0
-    mat += rng.normal(scale=0.03, size=(n, d))
-    vecs = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(n), pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in mat], pa.list_(pa.float32())),
-    })).repartition(4)
-    qref = make_query_ref(vecs, [0])
-    got = ivf_topk(vecs, qref, k=10, n_cells=2, nprobe=1).to_pandas()
-    assert len(got) == 10
-    assert (got["vec_id"] % 2 == 0).all(), "unprobed cluster leaked into top-k"
-    assert 0 not in set(got["vec_id"])  # self excluded
-
 
 def test_ivf_index_build_query_prunes_io(ray_session, tmp_path):
     """Persisted IVF index: full-probe query equals brute force exactly,
@@ -931,15 +906,13 @@ def test_char_jaccard_matches_duckdb(ray_session):
 def test_ann_topk_routes_index_first(ray_session, tmp_path):
     """ann_topk (the default ANN entry) with index_dir builds the persisted
     index once, REUSES it on later calls (no rebuild), and at full probe
-    equals brute force; without index_dir it falls back to one-shot
-    ivf_topk (VERDICT r4 #2)."""
+    equals brute force; without index_dir it is brute force."""
     import numpy as np
     import ray
 
     from portuguese_pt_legal_ner_ray.stages.similarity import (
         ann_topk,
         brute_force_topk,
-        ivf_topk,
         make_query_ref,
     )
 
@@ -968,11 +941,10 @@ def test_ann_topk_routes_index_first(ray_session, tmp_path):
     assert again.sort_values(key).reset_index(drop=True).equals(
         exact.sort_values(key).reset_index(drop=True))
 
-    # no index_dir -> identical to the one-shot fallback
+    # no index_dir -> exact brute force, whatever nprobe asks for
     no_idx = ann_topk(vecs, qref, k=5, nprobe=2, n_cells=8).to_pandas()
-    one_shot = ivf_topk(vecs, qref, k=5, n_cells=8, nprobe=2).to_pandas()
     assert no_idx.sort_values(key).reset_index(drop=True).equals(
-        one_shot.sort_values(key).reset_index(drop=True))
+        exact.sort_values(key).reset_index(drop=True))
 
 
 def test_lag_window_matches_pandas(ray_session):
