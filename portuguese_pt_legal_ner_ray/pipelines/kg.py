@@ -4,7 +4,7 @@ generalized per BASELINE.json north_star).
 Layout under ``out_dir``::
 
     extracted/part=<p>/       url, lang, text                 (stage "extract")
-    extraction/part=<p>/      nested paragraph rows           (stage "extract")
+    extraction/part=<p>/      paragraph rows, nested NER      (stage "extract")
     graph/spans/part=<p>/     flattens of the partition's     (stage "extract")
     graph/triples/part=<p>/     extraction rows, and its
     graph/errors/part=<p>/      quarantined rows
@@ -13,23 +13,28 @@ Layout under ``out_dir``::
     _manifest/                per-(stage, partition) checkpoint rows
 
 Partitioning: input parquet fragments are grouped into ``num_partitions``
-groups; each group is extracted by two Ray Data write jobs and checkpoints
+groups; each group is extracted by one Ray Data write job and checkpoints
 independently — a failed run resumes by skipping partitions whose manifest
 row exists (kill-and-resume test in tests/test_kill_resume.py). At 100 TB
 the partition is the unit of retry (~TB-scale file groups), while Ray's
 streaming executor parallelizes freely *within* each group.
 
-A partition's NER job ends in one multi-table sink (``TablesSink``): each
-write task writes one file per table for the blocks it gets — the nested
-rows to ``extraction/``, their span and triple flattens and quarantined
-rows to ``graph/{spans,triples,errors}/``, and their mention partials to
-``mentions/``. Those four are row-wise functions of ``extraction/``, so
-writing them where the rows already are saves the graph stage a re-read
-of it; an ``append`` leaves the old partitions' files as they are.
+A partition's job is ``read → extract_pages_task → TablesSink``: one
+task-mode ``map_batches`` turns each block of pages into page rows that
+nest their NER'd paragraphs, and one multi-table sink writes, per write
+task, one file per table for the blocks it gets (``partition_tables``) —
+the page text to ``extracted/``, the paragraph rows to ``extraction/``,
+their span and triple flattens and quarantined rows to
+``graph/{spans,triples,errors}/``, and their mention partials to
+``mentions/``. Every page is read and its HTML parsed once. The tables are
+row-wise functions of the page rows, so writing them where the rows
+already are saves the graph stage a re-read of ``extraction/``; an
+``append`` leaves the old partitions' files as they are.
 
 Independent write jobs run at the same time, from driver threads, up to one
-per cluster CPU (``_run_writes``): the write jobs of every pending
-partition, and the ``nodes`` and ``edges`` writes after linking. A small job
+per cluster CPU (``_run_writes``): the jobs of every pending partition, and
+the ``nodes`` and ``edges`` writes after linking: a crawl of P pending
+partitions is P + 2 Ray executions. A small job
 keeps only one or two of the cluster's CPUs busy, so run one after another
 they leave most CPUs idle. Every Dataset is built in the calling thread
 first; only the executions fan out.
@@ -93,11 +98,10 @@ from ..stages.extract import (
     SPANS_SCHEMA,
     TRIPLES_SCHEMA,
     error_rows,
-    explode_batch,
-    extract_text_batch,
+    extract_pages_task,
+    extraction_rows,
     flatten_spans,
     flatten_triples,
-    ner_triples_task,
 )
 from ..stages.graph import (
     EDGES_SCHEMA,
@@ -113,7 +117,8 @@ from ..state.manifest import Manifest, parquet_row_count
 # per-partition ``graph/`` flattens) re-extracts every partition instead of
 # failing on a table it does not have.
 LAYOUT_VERSION = 2
-# the tables a partition's NER job writes, each under ``<table>/part=<p>/``
+# the tables a partition's job writes from its paragraph rows, each under
+# ``<table>/part=<p>/``; ``extracted/`` comes from the page rows
 NER_TABLES = {
     "extraction": EXTRACTION_SCHEMA,
     "graph/spans": SPANS_SCHEMA,
@@ -121,16 +126,19 @@ NER_TABLES = {
     "graph/errors": ERRORS_SCHEMA,
     "mentions": MENTIONS_SCHEMA,
 }
-# every per-partition directory: a pending partition's clean slate and the
-# orphan-partition sweep cover all six
+# every per-partition directory, in the order ``partition_tables`` returns
+# them: a pending partition's clean slate and the orphan-partition sweep
+# cover all six
 PARTITION_DIRS = ("extracted", *NER_TABLES)
 
 
-def ner_tables(rows: pa.Table) -> list[pa.Table]:
-    """A write task's extraction rows -> its rows of each ``NER_TABLES``
-    table, in that order."""
+def partition_tables(pages: pa.Table) -> list[pa.Table]:
+    """A write task's page rows (``extract_pages_task``) -> its rows of
+    each ``PARTITION_DIRS`` table, in that order."""
+    rows = extraction_rows(pages)
     spans = flatten_spans(rows)
-    return [rows, spans, flatten_triples(rows), error_rows(rows),
+    return [pages.select(["url", "lang", "text"]), rows, spans,
+            flatten_triples(rows), error_rows(rows),
             linking.mention_partial_task(spans)]
 
 
@@ -179,9 +187,11 @@ class TablesSink(Datasink[None]):
 
 
 def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
-    """The full ``map_batches`` kwargs for the task-mode NER stage.
+    """The full ``map_batches`` kwargs for the task-mode extract step.
 
-    ``cfg`` reaches ``ner_triples_task`` through ``fn_kwargs``.
+    ``cfg`` reaches ``extract_pages_task`` through ``fn_kwargs``. The map
+    takes whole blocks; the task tags them in slices of
+    ``cfg.ner_batch_size`` paragraphs.
     ``cfg.ner_concurrency`` caps the concurrent NER tasks: an int, or the
     upper bound of a ``(min, max)`` tuple (Ray takes only an int for a
     function); None leaves it to Ray. ``cfg.ner_ray_remote_args`` (e.g.
@@ -201,7 +211,8 @@ def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
         )
     kwargs: dict = dict(
         batch_format="pyarrow",
-        batch_size=cfg.ner_batch_size,
+        batch_size=None,
+        zero_copy_batch=True,
         fn_kwargs=dict(cfg=cfg),
     )
     cap = cfg.ner_concurrency
@@ -283,21 +294,19 @@ def _read_floor(partitions: int) -> int:
     return -(-int(ray.cluster_resources().get("CPU", 1)) // partitions)
 
 
-def _extract_jobs(files: list[str], out_dir: Path, part: str,
-                  cfg: PipelineConfig, min_blocks: int = 1,
-                  ) -> tuple[list[tuple[Dataset, TablesSink]], dict]:
-    """One partition's two write jobs, built but not run, and the
-    ``in_bytes``/``blocks`` their input reads as.
+def _extract_job(files: list[str], out_dir: Path, part: str,
+                 cfg: PipelineConfig, min_blocks: int = 1,
+                 ) -> tuple[tuple[Dataset, TablesSink], dict]:
+    """One partition's write job, built but not run, and the
+    ``in_bytes``/``blocks`` its input reads as.
 
-    Both stream over the input files: one writes the extracted text
-    (``extracted/``), the other carries the text on through explode and NER
-    into the ``NER_TABLES`` (``ner_tables``). The second parses the HTML
-    again (a vectorized Arrow kernel) rather than reading ``extracted/``
-    back; pinning the text in the object store for both jobs measured no
-    faster.
+    The job streams over the input files once: ``extract_pages_task`` turns
+    each block of pages into page rows, and one ``TablesSink`` writes all
+    six ``PARTITION_DIRS`` tables from them (``partition_tables``), so
+    every page is read and its HTML parsed once.
 
-    Each job reads its files with ``sized_read_parquet``: one block per
-    32 MB, and at least ``min_blocks``. Callers pass ``_read_floor`` of the
+    It reads its files with ``sized_read_parquet``: one block per 32 MB,
+    and at least ``min_blocks``. Callers pass ``_read_floor`` of the
     partitions written together, so a full crawl on as many CPUs as
     partitions reads one block per partition, while a lone re-extracted
     partition (``append``, or ``ner_concurrency`` set) still spreads its
@@ -309,23 +318,15 @@ def _extract_jobs(files: list[str], out_dir: Path, part: str,
     for d in dirs.values():
         if d.exists():
             shutil.rmtree(d)
-
-    def text() -> Dataset:  # columns pruned at the read: url, html, lang only
-        return sized_read_parquet(files, columns=["url", "html", "lang"],
-                                  min_blocks=min_blocks).map_batches(
-            extract_text_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-    ner = (
-        text()
-        .map_batches(explode_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(ner_triples_task, **ner_map_batches_kwargs(cfg))
-    )
+    # columns pruned at the read: url, html, lang only
+    ds = sized_read_parquet(files, columns=["url", "html", "lang"],
+                            min_blocks=min_blocks).map_batches(
+        extract_pages_task, **ner_map_batches_kwargs(cfg))
+    sink = TablesSink([(dirs["extracted"], EXTRACTED_SCHEMA),
+                       *((dirs[name], schema) for name, schema in NER_TABLES.items())],
+                      split=partition_tables)
     in_bytes, blocks = read_plan(files, min_blocks=min_blocks)
-    sinks = (TablesSink([(dirs["extracted"], EXTRACTED_SCHEMA)]),
-             TablesSink([(dirs[name], schema) for name, schema in NER_TABLES.items()],
-                        split=ner_tables))
-    return ([(text(), sinks[0]), (ner, sinks[1])],
-            {"in_bytes": in_bytes, "blocks": blocks})
+    return (ds, sink), {"in_bytes": in_bytes, "blocks": blocks}
 
 
 def _partition_row(files: list[str], out_dir: Path, part: str,
@@ -349,9 +350,9 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
                       cfg: PipelineConfig,
                       input_sig: list[list] | None = None) -> dict:
     """One partition's linear section: read → text → explode → NER → write,
-    as the two write jobs of ``_extract_jobs``, run at the same time. A lone
-    partition, so its reads take one block per cluster CPU at least; the
-    returned row carries their ``in_bytes`` and ``blocks``.
+    as the one write job of ``_extract_job``. A lone partition, so its read
+    takes one block per cluster CPU at least; the returned row carries its
+    ``in_bytes`` and ``blocks``.
 
     ``input_sig`` is the (path, size, mtime_ns) signature captured BEFORE any
     file is read (run_kg_pipeline passes its plan-time sigs). Signing after
@@ -361,8 +362,8 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     """
     if input_sig is None:
         input_sig = _files_sig(files)
-    jobs, reads = _extract_jobs(files, out_dir, part, cfg, min_blocks=_read_floor(1))
-    for _ in _run_writes(jobs):
+    job, reads = _extract_job(files, out_dir, part, cfg, min_blocks=_read_floor(1))
+    for _ in _run_writes([job]):
         pass
     return {**_partition_row(files, out_dir, part, input_sig), **reads}
 
@@ -446,15 +447,17 @@ def run_kg_pipeline(
     every partition; its flat ``graph/{spans,triples,errors}/*.parquet``
     files are deleted first.
 
-    The write jobs of all pending partitions run at the same time
+    Each pending partition is one Ray job (``_extract_job``), and the graph
+    stage two, so a run with P pending partitions is P + 2 Ray executions.
+    The jobs of all pending partitions run at the same time
     (``_run_writes``), unless ``cfg.ner_concurrency`` is set: then one
     partition runs at a time, so the cap holds for the whole run. Each
-    partition's manifest row is written in plan order once both of its jobs
+    partition's manifest row is written in plan order once its job
     finished, with its wall seconds (``wall_s``), the input bytes and block
-    count its reads were sized to (``in_bytes``, ``blocks``) and the row
+    count its read was sized to (``in_bytes``, ``blocks``) and the row
     counts of its tables (``pages``, ``paragraphs``, ``spans``,
     ``triples``, ``errors``, ``mentions``) outside the fingerprint. The
-    reads' block floor is derived, not configured:
+    read's block floor is derived, not configured:
     ``ceil(cluster CPUs / partitions written together)`` (``_read_floor``).
     An empty batch (a resumed run with nothing pending) builds no jobs.
 
@@ -515,15 +518,14 @@ def run_kg_pipeline(
     t_extract = time.perf_counter()
     for batch in batches:
         floor = _read_floor(len(batch))
-        built = [_extract_jobs(plan[i], out_dir, f"{i:05d}", cfg, min_blocks=floor)
+        built = [_extract_job(plan[i], out_dir, f"{i:05d}", cfg, min_blocks=floor)
                  for i in batch]
-        timings = _run_writes([job for jobs, _ in built for job in jobs])
-        # rows in plan order, each once both of its partition's jobs finished
-        for i, (_, reads) in zip(batch, built):
-            (s0, e0), (s1, e1) = next(timings), next(timings)
+        timings = _run_writes([job for job, _ in built])
+        # rows in plan order, each once its partition's job finished
+        for i, (_, reads), (start, end) in zip(batch, built, timings):
             part = f"{i:05d}"
             meta = _partition_row(plan[i], out_dir, part, plan_sigs[i])
-            meta["wall_s"] = round(max(e0, e1) - min(s0, s1), 3)
+            meta["wall_s"] = round(end - start, 3)
             meta.update(reads)
             if model_art is not None:
                 meta["model"] = model_art

@@ -23,11 +23,6 @@ from ..config import BIO_LABELS
 
 logger = logging.getLogger(__name__)
 
-SENTENCE_SCHEMA = pa.schema(
-    [("tokens", pa.list_(pa.string())), ("labels", pa.list_(pa.string()))]
-)
-
-
 def read_conll_file(file_path: str | Path) -> tuple[list[list[str]], list[list[str]]]:
     """-> (sentences_tokens, sentences_labels); reference-faithful."""
     path = Path(file_path)
@@ -66,21 +61,6 @@ def conll_to_table(file_path: str | Path) -> pa.Table:
             "labels": pa.array(labels, pa.list_(pa.string())),
         }
     )
-
-
-def read_conll_dataset(paths: list[str | Path]):
-    """Sentence rows of many CoNLL files as a Ray Dataset.
-
-    CoNLL is a line-oriented fixture format (not a scale input), so files
-    are parsed driver-side and shipped as Arrow — the production-scale
-    sources are Parquet (SURVEY.md §2.1 S1 mapping).
-    """
-    import ray
-
-    tables = [conll_to_table(p) for p in paths]
-    return ray.data.from_arrow(pa.concat_tables(tables) if tables
-                               else pa.table({"tokens": [], "labels": []},
-                                             schema=SENTENCE_SCHEMA))
 
 
 def write_sample_conll(path: str | Path, n_sentences: int = 3) -> Path:

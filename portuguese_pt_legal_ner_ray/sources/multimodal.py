@@ -140,22 +140,6 @@ def resize_metadata(decoded: Dataset, max_side: int = 256) -> Dataset:
     return decoded.map_batches(plan, batch_format="pyarrow")
 
 
-def frame_sample_plan(media: Dataset, every_n_bytes: int = 64) -> Dataset:
-    """Frame-sampling plan for (fake) video payloads: one row per sampled
-    offset — the explode-shaped plumbing a real frame sampler needs."""
-    def plan(batch: pa.Table) -> pa.Table:
-        ids, offs = [], []
-        for doc_id, payload in zip(batch["doc_id"].to_pylist(),
-                                   batch["payload"].to_pylist()):
-            for off in range(12, len(payload), every_n_bytes):
-                ids.append(doc_id)
-                offs.append(off)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "frame_offset": pa.array(offs, pa.int64())})
-
-    return media.map_batches(plan, batch_format="pyarrow", batch_size=256)
-
-
 def decode_audio_batch(batch: pa.Table) -> pa.Table:
     """Audio decode kernel: parse the binary header -> typed metadata
     (sample_rate, n_samples, duration_ms)."""

@@ -23,9 +23,10 @@ want one block per core on small inputs, pass a floor. The callers that do:
 - ``_docs(wide=True)`` and ``near_dup_embedding`` in ``__ray_entry__.py``
   (the O(n^2) embedding near-dup scan, simhash): the CPU count, at
   least 8;
-- ``pipelines/kg._extract_jobs`` (NER): ``ceil(cluster CPUs / partitions
-  written together)``, so a lone re-extracted partition spans every CPU
-  and a full crawl reads one block per partition;
+- ``pipelines/kg._extract_job`` (each partition's one read, whose blocks
+  go through html→text, explode and NER): ``ceil(cluster CPUs /
+  partitions written together)``, so a lone re-extracted partition spans
+  every CPU and a full crawl reads one block per partition;
 - ``scripts/bench_scale_paths.py`` and ``scripts/ivf_scaling.py``
   (brute-force scans): the CPU count.
 

@@ -5,8 +5,6 @@
 * minhash + LSH near-dup — shingle -> minhash -> band -> ``groupby(band)``
   -> in-bucket verified pairs (the scale path: candidate generation never
   goes quadratic in the corpus, only within buckets)
-* simhash near-dup       — 64-bit simhash, bucket by 16-bit sub-bands
-  (hamming-distance-tolerant blocking)
 * char-Jaccard near-dup  — distinct-character Jaccard >= threshold
   (deliberately simple so DuckDB's ``jaccard()`` provides a SQL oracle)
 
@@ -433,20 +431,3 @@ def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
     return docs.select_columns(["doc_id", text_col]).map_batches(
         pair_scan, batch_format="pyarrow", fn_kwargs=dict(items_ref=items_ref))
 
-
-def simhash_buckets(docs: Dataset, text_col: str = "text") -> Dataset:
-    """(bucket, doc_id) rows: 4 × 16-bit simhash sub-bands per doc —
-    docs within hamming distance 3 share at least one bucket."""
-    from .textops import simhash_batch
-
-    def to_buckets(batch: pa.Table) -> pa.Table:
-        sh = simhash_batch(batch, text_col)
-        buckets, ids = [], []
-        for doc_id, h in zip(sh["doc_id"].to_pylist(), sh["simhash"].to_pylist()):
-            for band in range(4):
-                buckets.append(f"{band}:{(h >> (band * 16)) & 0xFFFF:04x}")
-                ids.append(doc_id)
-        return pa.table({"bucket": pa.array(buckets, pa.string()),
-                         "doc_id": pa.array(ids, pa.int64())})
-
-    return docs.map_batches(to_buckets, batch_format="pyarrow")

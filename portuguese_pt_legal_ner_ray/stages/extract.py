@@ -2,31 +2,36 @@
 
 Ray-Data-first shapes (SURVEY.md §7 steps 2-5), all plain Ray tasks:
 
-* ``extract_text_batch`` — stateless ``map_batches`` over zero-copy Arrow;
-  pure ``pyarrow.compute`` kernel chain (functions/html.py).
-* ``explode_batch`` — stateless vectorized explode (functions/paragraphs.py).
-* ``ner_triples_task`` — the NER + triples step. It keeps one
-  ``NerTripleStage`` per worker process and per config, so the tagger is
-  built once per worker (mirroring the reference's once-per-process model
-  load, src/inference.py:65-96) without an actor pool holding CPUs. The
+* ``extract_text_batch`` — pure ``pyarrow.compute`` kernel chain
+  (functions/html.py).
+* ``explode_batch`` — vectorized explode (functions/paragraphs.py).
+* ``NerTripleStage`` — paragraph rows in, nested spans + triples out. The
   language gate runs inside the stage: non-pt rows keep their lineage
   (they flow through with empty span/triple lists) per BASELINE.json
   north_star.
+* ``extract_pages_task`` — the three above as ONE task-mode ``map_batches``
+  over whole blocks, the only extract step of a KG partition's job. It
+  keeps one ``NerTripleStage`` per worker process and per config, so the
+  tagger is built once per worker (mirroring the reference's
+  once-per-process model load, src/inference.py:65-96) without an actor
+  pool holding CPUs.
 
-Output of the NER stage is ONE nested Arrow table per paragraph row —
-``(url, lang, para_idx, para_text, spans: list<struct>, triples:
-list<struct>)`` — so a single streamed pass yields every downstream view
-(paragraphs / spans / triples are projections or flattens of it), instead of
-re-running extraction once per output table. ``flatten_spans``,
-``flatten_triples`` and ``error_rows`` make the per-partition graph tables
-from it in the NER job's write tasks (``pipelines/kg``); every table the
-pipeline writes has a static schema here or in ``stages/graph.py``.
+``extract_pages_task`` returns one row per page — ``(url, lang, text,
+paragraphs: list<PARAGRAPH_T>)`` — so a single pass over the input yields
+every per-partition table: ``extracted/`` is a projection of it, and
+``extraction_rows`` flattens it to the extraction rows ``(url, lang,
+para_idx, para_text, spans: list<struct>, triples: list<struct>, error)``.
+``flatten_spans``, ``flatten_triples`` and ``error_rows`` make the
+per-partition graph tables from those in the job's write tasks
+(``pipelines/kg``); every table the pipeline writes has a static schema
+here or in ``stages/graph.py``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 
 from ..config import PipelineConfig
@@ -66,8 +71,11 @@ EXTRACTION_SCHEMA = pa.schema(
         ("error", pa.string()),  # null = clean row; non-null = quarantined
     ]
 )
+# one extraction row without its page's url/lang: the element type of
+# ``extract_pages_task``'s ``paragraphs`` column
+PARAGRAPH_T = pa.struct([f for f in EXTRACTION_SCHEMA if f.name not in ("url", "lang")])
 
-# the schemas of the per-partition tables the NER job writes next to
+# the schemas of the per-partition tables a partition's job writes next to
 # ``extraction/`` (``pipelines/kg``): a table with no rows is written as one
 # zero-row file in its schema, so no Ray execution has to find it out
 EXTRACTED_SCHEMA = pa.schema(
@@ -116,7 +124,7 @@ def explode_batch(batch: pa.Table) -> pa.Table:
 
 
 class NerTripleStage:
-    """Paragraph rows in, nested spans+triples out (see ``ner_triples_task``).
+    """Paragraph rows in, nested spans+triples out (see ``extract_pages_task``).
 
     ``dynamic_batching=True`` routes paragraphs through
     ``length_sorted_batches`` (sort by token length, sub-batch under a token
@@ -261,18 +269,52 @@ def _stage_key(cfg: PipelineConfig) -> str:
                        for f in files if f.is_file()]))
 
 
-def ner_triples_task(batch: pa.Table, cfg: PipelineConfig | None = None) -> pa.Table:
-    """Task-mode NER stage: ``map_batches(ner_triples_task, fn_kwargs={"cfg": cfg})``.
+def extract_pages_task(batch: pa.Table, cfg: PipelineConfig | None = None) -> pa.Table:
+    """Task-mode extract step: ``map_batches(extract_pages_task,
+    fn_kwargs={"cfg": cfg})`` over whole blocks of (url, html, lang) pages.
 
-    Ray reuses worker processes across tasks, so the stage built for ``cfg``
-    is cached per worker, keyed by the config: the tagger is built once per
-    worker without an actor pool, and two configs in one Ray session never
-    share a tagger.
+    Returns one row per page, ``(url, lang, text, paragraphs)``: html→text
+    and the explode run over the whole block, and the NER stage tags slices
+    of ``cfg.ner_batch_size`` paragraphs. ``paragraphs`` holds each page's
+    extraction rows as a ``list<PARAGRAPH_T>`` (``extraction_rows`` flattens
+    it back). Ray reuses worker processes across tasks, so the stage built
+    for ``cfg`` is cached per worker, keyed by the config: the tagger is
+    built once per worker without an actor pool, and two configs in one Ray
+    session never share a tagger.
     """
     cfg = cfg or PipelineConfig()
     stage = worker_cached(_TASK_STAGES, _stage_key(cfg),
                           lambda: NerTripleStage(cfg))
-    return stage(batch)
+    pages = extract_text_batch(batch)
+    page = pa.array(np.arange(pages.num_rows, dtype=np.int64))
+    paras = explode_paragraphs_arrow(pages.append_column("page", page),
+                                     keep_cols=("url", "lang", "page"))
+    step = cfg.ner_batch_size
+    tagged = pa.concat_tables(
+        [stage(paras.slice(s, step)) for s in range(0, paras.num_rows, step)]
+        or [EXTRACTION_SCHEMA.empty_table()])
+    nested = pa.StructArray.from_arrays(
+        [tagged[f.name].combine_chunks() for f in PARAGRAPH_T], fields=list(PARAGRAPH_T))
+    # a page's paragraphs are contiguous and in page order, so per-page
+    # counts give the list offsets
+    counts = np.bincount(paras["page"].to_numpy(), minlength=pages.num_rows)
+    offsets = pa.array(np.concatenate([[0], np.cumsum(counts)]), pa.int32())
+    return pages.append_column("paragraphs",
+                               pa.ListArray.from_arrays(offsets, nested))
+
+
+def extraction_rows(pages: pa.Table) -> pa.Table:
+    """``extract_pages_task`` page rows -> their extraction rows
+    (``EXTRACTION_SCHEMA``): the ``paragraphs`` lists flattened, each row
+    with its page's ``url`` and ``lang``."""
+    import pyarrow.compute as pc
+
+    lists = pages["paragraphs"].combine_chunks()
+    parent = pc.list_parent_indices(lists)
+    return pa.Table.from_arrays(
+        [pc.take(pages["url"], parent), pc.take(pages["lang"], parent),
+         *pc.list_flatten(lists).flatten()],
+        schema=EXTRACTION_SCHEMA)
 
 
 def flatten_spans(batch: pa.Table) -> pa.Table:

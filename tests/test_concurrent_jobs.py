@@ -1,8 +1,9 @@
 """run_kg_pipeline runs its independent Ray Data write jobs at the same time,
-from driver threads, up to one job per cluster CPU: the jobs of every
+from driver threads, up to one job per cluster CPU: the one job of every
 pending extract partition, then the nodes and edges writes. These tests pin
-that contract and the two things it must not break: Ray's path handling
-under concurrent threads, and the NER concurrency cap."""
+that contract, the number of Ray executions it takes, and the two things it
+must not break: Ray's path handling under concurrent threads, and the NER
+concurrency cap."""
 
 import threading
 import time
@@ -69,8 +70,9 @@ def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus
     """At 4 Ray CPUs the write jobs of two pending partitions overlap in
     time, and so do the nodes and edges writes; at 1 CPU no two writes
     overlap. The 1-CPU case reports one CPU to the pipeline from the 4-CPU
-    session. Each partition writes two jobs (``extracted/`` and its NER
-    tables), and the graph stage two (``nodes``, ``edges``)."""
+    session. Each partition writes one job (all six of its tables, keyed by
+    the first, ``extracted/``), and the graph stage two (``nodes``,
+    ``edges``)."""
     import ray
 
     if cpus == 1:
@@ -78,14 +80,14 @@ def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus
     spans = _spy_writes(monkeypatch)
     out = tmp_path / "out"
     kg.run_kg_pipeline(mini_run["input"], out, num_partitions=2)
-    ner = [spans[str(out / "extraction" / f"part={p}")] for p in ("00000", "00001")]
+    ner = [spans[str(out / "extracted" / f"part={p}")] for p in ("00000", "00001")]
     graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges")]
     if cpus > 1:
         assert _overlap(*ner)
         assert _overlap(*graph)
     else:
         ordered = sorted(spans.values())
-        assert len(ordered) == 2 * 2 + 2
+        assert len(ordered) == 2 + 2
         assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
 
 
@@ -97,7 +99,7 @@ def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkey
     in Ray worker processes; a sleep stretches each call, so calls of
     partitions run together would overlap."""
     log = tmp_path / "ner_calls.txt"
-    real = kg.ner_triples_task
+    real = kg.extract_pages_task
 
     def timed_ner(batch, cfg):
         t = time.time()
@@ -107,7 +109,7 @@ def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkey
             f.write(f"{t} {time.time()}\n")
         return out
 
-    monkeypatch.setattr(kg, "ner_triples_task", timed_ner)
+    monkeypatch.setattr(kg, "extract_pages_task", timed_ner)
     kg.run_kg_pipeline(mini_run["input"], tmp_path / "out", num_partitions=4,
                        cfg=PipelineConfig(ner_concurrency=1))
     calls = sorted(tuple(map(float, line.split())) for line in
@@ -118,7 +120,7 @@ def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkey
 
 def test_kg_reads_are_byte_sized(mini_run):
     """Every read of the fixture's run goes through ``sized_read_parquet``:
-    the eight extract reads (two jobs per partition) with a floor of
+    the four extract reads (one job per partition) with a floor of
     ceil(4 CPUs / 4 pending partitions) = 1 block, and the graph stage's
     reads of ``mentions/`` and ``graph/triples`` with no floor; it never
     reads ``extraction/``, and linking reads ``mentions/`` without Ray.
@@ -127,14 +129,14 @@ def test_kg_reads_are_byte_sized(mini_run):
     partition. ``nodes`` and ``edges`` come out of one block as one file
     each (Ray's default read wrote 8)."""
     reads, out = mini_run["reads"], mini_run["out"]
-    assert reads["ray"] == len(reads["sized"]) == 4 * 2 + 2
+    assert reads["ray"] == len(reads["sized"]) == 4 + 2
     extract = [r for r in reads["sized"] if isinstance(r["paths"], list)]
-    assert len(extract) == 8 and all(r["min_blocks"] == 1 for r in extract)
+    assert len(extract) == 4 and all(r["min_blocks"] == 1 for r in extract)
     graph = [r for r in reads["sized"] if not isinstance(r["paths"], list)]
     assert graph == [{"paths": str(out / "mentions"), "min_blocks": 1},
                      {"paths": str(out / "graph" / "triples"), "min_blocks": 1}]
-    for table in ("extraction", "mentions", "graph/spans", "graph/triples",
-                  "graph/errors"):
+    for table in ("extracted", "extraction", "mentions", "graph/spans",
+                  "graph/triples", "graph/errors"):
         files = list((out / table).glob("*/*.parquet"))
         assert len(files) == 4 and len({f.parent for f in files}) == 4, table
     for table in ("nodes", "edges"):
@@ -146,9 +148,9 @@ def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads
     """The extract reads' block floor is ceil(cluster CPUs / partitions
     written together): with 2 pending partitions it is 2 blocks at 4 CPUs
     and 1 at 1 CPU; a lone re-extracted partition (its input file touched,
-    as on ``append``) reads as one block per CPU. Each extract manifest row
-    records the bytes and blocks its reads were sized to. A resumed run
-    with nothing pending reads nothing."""
+    as on ``append``) reads as one block per CPU. Each partition reads its
+    files once, and its manifest row records the bytes and blocks that read
+    was sized to. A resumed run with nothing pending reads nothing."""
     import os
     import shutil
 
@@ -169,7 +171,7 @@ def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads
         return floors
 
     kg.run_kg_pipeline(inp, out, num_partitions=2)
-    assert extract_floors() == [-(-cpus // 2)] * 4
+    assert extract_floors() == [-(-cpus // 2)] * 2
     rows = [r for r in Manifest(out).all_records() if r["stage"] == "extract"]
     assert [r["blocks"] for r in rows] == [-(-cpus // 2)] * 2
     assert all(r["in_bytes"] == sum(Path(f).stat().st_size for f in r["input_files"])
@@ -179,9 +181,43 @@ def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads
     st = touched.stat()
     os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
     kg.run_kg_pipeline(inp, out, num_partitions=2)
-    assert extract_floors() == [cpus] * 2
+    assert extract_floors() == [cpus]
 
     # a resumed run with nothing pending reads nothing; each graph stage
     # reads twice (mentions/, graph/triples)
     kg.run_kg_pipeline(inp, out, num_partitions=2)
-    assert kg_reads["sized"] == [] and kg_reads["ray"] == (4 + 2) + (2 + 2)
+    assert kg_reads["sized"] == [] and kg_reads["ray"] == (2 + 2) + (1 + 2)
+
+
+def test_crawl_runs_one_execution_per_partition(mini_run, tmp_path, monkeypatch):
+    """Each pending partition is one Ray execution (read, extract and all
+    six tables' writes in one job) and the graph stage two: a 4-partition
+    crawl of the fixture's corpus takes 4 + 2 ``StreamingExecutor.execute``
+    calls in the driver, an append that re-extracts one partition 1 + 2,
+    and a resume with nothing pending none."""
+    import os
+    import shutil
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    inp, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(mini_run["input"], inp)
+    kg.run_kg_pipeline(inp, out, num_partitions=4)
+    assert len(calls) == 4 + 2
+    touched = sorted(inp.glob("*.parquet"))[0]
+    st = touched.stat()
+    os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+    calls.clear()
+    kg.run_kg_pipeline(inp, out, num_partitions=4)
+    assert len(calls) == 1 + 2
+    calls.clear()
+    kg.run_kg_pipeline(inp, out, num_partitions=4)
+    assert calls == []

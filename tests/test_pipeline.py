@@ -2,6 +2,7 @@
 (SURVEY.md §5 test 1 — the core acceptance test). Expected equality is exact
 (P/R = 1.0) because pipeline and oracle share the deterministic tagger."""
 
+import dataclasses
 import shutil
 from pathlib import Path
 
@@ -88,7 +89,7 @@ def test_graph_spans_read_without_partition_column(mini_run):
 
 
 def test_partition_tables_equal_flattens_of_extraction(mini_run):
-    """Each partition's NER job writes, next to ``extraction/part=<p>/``,
+    """Each partition's job writes, next to ``extraction/part=<p>/``,
     ``graph/{spans,triples,errors}/part=<p>/`` and ``mentions/part=<p>/``:
     equal to ``flatten_spans``, ``flatten_triples`` and ``error_rows`` of
     the partition's ``extraction/`` rows, and mention partials that merge
@@ -273,21 +274,44 @@ def test_bench_distributed_link_matches_oracle(mini_run, monkeypatch):
         _assert_table_equal(out, mini_run["golden"], name)
 
 
+def _tagger_slices(cfg, pages, monkeypatch) -> list[int]:
+    """The paragraph count of each NER stage call ``extract_pages_task``
+    makes over ``pages`` with ``cfg``, in this process."""
+    from portuguese_pt_legal_ner_ray.stages import extract
+
+    sizes: list[int] = []
+
+    class Recording(extract.NerTripleStage):
+        def __call__(self, batch):
+            sizes.append(batch.num_rows)
+            return super().__call__(batch)
+
+    monkeypatch.setitem(extract._TASK_STAGES, extract._stage_key(cfg), Recording(cfg))
+    extract.extract_pages_task(pages.select(["url", "html", "lang"]), cfg)
+    return sizes
+
+
+def _slices_of(n: int, step: int) -> list[int]:
+    return [step] * (n // step) + ([n % step] if n % step else [])
+
+
 def test_ner_remote_args_reach_map_batches(mini_run, tmp_path, monkeypatch):
-    """cfg.ner_ray_remote_args must be splatted into the NER map_batches call
-    (SURVEY.md §2.3 A1 num_gpus mapping; VERDICT r3 item #4)."""
+    """cfg.ner_ray_remote_args must be splatted into the extract
+    map_batches call (SURVEY.md §2.3 A1 num_gpus mapping; VERDICT r3 item
+    #4). The map takes whole blocks; the task tags them in slices of
+    ``cfg.ner_batch_size`` paragraphs."""
     import ray.data
 
     from portuguese_pt_legal_ner_ray.pipelines.kg import (
         extract_partition,
         ner_map_batches_kwargs,
     )
-    from portuguese_pt_legal_ner_ray.stages.extract import ner_triples_task
+    from portuguese_pt_legal_ner_ray.stages.extract import extract_pages_task
 
     # pure-unit: a GPU claim lands in the kwargs (never actually scheduled
     # here — this sandbox has no GPU)
     kw = ner_map_batches_kwargs(PipelineConfig(ner_ray_remote_args={"num_gpus": 0.25}))
-    assert kw["num_gpus"] == 0.25 and kw["batch_size"] == PipelineConfig().ner_batch_size
+    assert kw["num_gpus"] == 0.25 and kw["batch_size"] is None
 
     # wiring: the kwargs reach the actual Dataset.map_batches call for the
     # NER stage (spy on the method, run one real partition with a
@@ -296,7 +320,7 @@ def test_ner_remote_args_reach_map_batches(mini_run, tmp_path, monkeypatch):
     orig = ray.data.Dataset.map_batches
 
     def spy(self, fn, **kwargs):
-        if fn is ner_triples_task:
+        if fn is extract_pages_task:
             recorded.update(kwargs)
         return orig(self, fn, **kwargs)
 
@@ -305,7 +329,10 @@ def test_ner_remote_args_reach_map_batches(mini_run, tmp_path, monkeypatch):
     cfg = PipelineConfig(ner_ray_remote_args={"num_cpus": 1})
     extract_partition(files, tmp_path / "out_remote_args", "00000", cfg)
     assert recorded.get("num_cpus") == 1
-    assert recorded.get("batch_size") == cfg.ner_batch_size
+    assert recorded.get("batch_size") is None and recorded["fn_kwargs"]["cfg"] == cfg
+    n = mini_run["golden"]["paragraphs"].num_rows
+    cfg = dataclasses.replace(cfg, ner_batch_size=64)
+    assert _tagger_slices(cfg, mini_run["pages"], monkeypatch) == _slices_of(n, 64)
 
 
 def test_ner_remote_args_reject_reserved_keys():
@@ -370,17 +397,18 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
 
 def test_gpu_claim_sizes_actor_pool_to_gpu_budget():
     """A GPU claim in ner_ray_remote_args reaches the NER tasks' placement
-    kwargs next to the configured batch size; a task whose claim cannot be
+    kwargs next to the config, whose batch size the tasks tag by (the map
+    takes whole blocks); a task whose claim cannot be
     met waits in Ray's scheduler. ner_concurrency caps the concurrent NER
     tasks: an int directly, a (min, max) tuple by its upper bound, and None
     leaves the cap to Ray (VERDICT r4 #8)."""
     from portuguese_pt_legal_ner_ray.pipelines.kg import ner_map_batches_kwargs
 
-    batch = PipelineConfig().ner_batch_size
     for g in (1, 0.25):
-        kw = ner_map_batches_kwargs(
-            PipelineConfig(ner_ray_remote_args={"num_gpus": g}))
-        assert kw["num_gpus"] == g and kw["batch_size"] == batch
+        cfg = PipelineConfig(ner_ray_remote_args={"num_gpus": g})
+        kw = ner_map_batches_kwargs(cfg)
+        assert kw["num_gpus"] == g and kw["batch_size"] is None
+        assert kw["fn_kwargs"]["cfg"].ner_batch_size == PipelineConfig().ner_batch_size
         assert "concurrency" not in kw
     kw = ner_map_batches_kwargs(
         PipelineConfig(ner_ray_remote_args={"num_gpus": 1}, ner_concurrency=2))
@@ -410,3 +438,72 @@ def test_task_mode_ner_honours_cfg(mini_run, tmp_path):
         outs.append(got)
     # the threshold matters on this input, so a shared tagger would show
     assert not outs[0]["spans"].equals(outs[1]["spans"])
+
+
+def test_extract_task_edge_cases_match_oracle(ray_session, tmp_path, monkeypatch):
+    """One input file that mixes empty and blank pages, non-pt pages and a
+    page with more paragraphs than ``ner_batch_size``, run at a
+    ``ner_batch_size`` of 7, which does not divide the file's paragraph
+    count (the lone partition reads as 4 blocks): ``extracted/``,
+    ``extraction/``, ``graph/{spans,triples}``, ``nodes`` and ``edges`` equal
+    the oracle's. In process, the extract task tags slices of 7 paragraphs,
+    and a paragraph whose tagger call raises still lands in
+    ``graph/errors`` with its url and para_idx."""
+    import pyarrow as pa
+
+    from portuguese_pt_legal_ner_ray.functions.html import render_html
+    from portuguese_pt_legal_ner_ray.functions.tagger import RegexGazetteerTagger
+    from portuguese_pt_legal_ner_ray.pipelines.kg import PARTITION_DIRS, partition_tables
+    from portuguese_pt_legal_ner_ray.stages import extract
+
+    shard = gen_pages_shard(9, 0, 40)
+    base = shard.select(["url", "html", "lang"])
+    pt_texts = [t for t, lang in zip(shard["text"].to_pylist(),
+                                     shard["lang"].to_pylist()) if lang == "pt"]
+    long_text = "\n".join(pt_texts[:6])
+    extra = {
+        "https://edge.pt/empty": ("", "pt"),
+        "https://edge.pt/blank": ("  \n\n \n", "pt"),
+        "https://edge.pt/long": (long_text, "pt"),
+        "https://edge.pt/long-en": (long_text, "en"),
+        "https://edge.pt/boom": ("João Silva em Lisboa.\n\ntexto BOOM 123 aqui", "pt"),
+    }
+    pages = pa.concat_tables([base, pa.table({
+        "url": pa.array(list(extra), pa.string()),
+        "html": pa.array([render_html(t) for t, _ in extra.values()], pa.binary()),
+        "lang": pa.array([lang for _, lang in extra.values()], pa.string()),
+    })])
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(pages, inp / "part-00000.parquet")
+    golden = run_oracle(pages)
+    assert len(long_text.split("\n")) > 7
+    cfg = PipelineConfig(ner_batch_size=7)
+    out = tmp_path / "out"
+    run_kg_pipeline(inp, out, cfg=cfg, num_partitions=1)
+
+    got = pads.dataset(out / "extracted").to_table()
+    assert _sorted(got, ["url", "text"]).equals(_sorted(golden["extracted"], ["url", "text"]))
+    para_cols = ["url", "lang", "para_idx", "para_text"]
+    got = _sorted(pads.dataset(out / "extraction").to_table(), para_cols)
+    want = _sorted(golden["paragraphs"], para_cols)
+    assert got.num_rows == want.num_rows and got.equals(want.cast(got.schema))
+    assert got.num_rows % 7
+    for name in TABLE_COLS:
+        _assert_table_equal(out, golden, name)
+
+    class BoobyTrap(RegexGazetteerTagger):
+        def tag_paragraph(self, text):
+            if "BOOM" in text:
+                raise ValueError("model exploded")
+            return super().tag_paragraph(text)
+
+    monkeypatch.setattr(extract, "RegexGazetteerTagger", BoobyTrap)
+    n = golden["paragraphs"].num_rows
+    assert _tagger_slices(cfg, pages, monkeypatch) == _slices_of(n, 7)
+    rows = extract.extract_pages_task(pages, cfg)
+    tables = dict(zip(PARTITION_DIRS, partition_tables(rows)))
+    assert tables["graph/errors"].to_pylist() == [
+        {"url": "https://edge.pt/boom", "para_idx": 1,
+         "error": "ValueError: model exploded"}]
+    assert tables["extraction"].num_rows == n

@@ -160,28 +160,27 @@ def test_link_verify_shingles_each_key_once(monkeypatch, seed):
 
 
 def test_logits_tagger_pipeline_stage_parity(ray_session):
-    """The actor-pool NER stage driven by the logits decode path (the real
-    HF wire format) produces span-identical output to the gazetteer path."""
+    """The pipeline's extract task, run as Ray tasks with the logits decode
+    path (the real HF wire format), produces span-identical output to the
+    gazetteer path."""
     import ray
 
     from portuguese_pt_legal_ner_ray.config import PipelineConfig
     from portuguese_pt_legal_ner_ray.corpus import gen_pages_shard
+    from portuguese_pt_legal_ner_ray.pipelines.kg import ner_map_batches_kwargs
     from portuguese_pt_legal_ner_ray.stages.extract import (
-        NerTripleStage,
-        explode_batch,
-        extract_text_batch,
+        extract_pages_task,
+        extraction_rows,
         flatten_spans,
     )
 
-    pages = ray.data.from_arrow(gen_pages_shard(2, 0, 80))
+    pages = ray.data.from_arrow(gen_pages_shard(2, 0, 80)).repartition(4)
 
     def spans_with(cfg):
         ds = (
-            pages.map_batches(extract_text_batch, batch_format="pyarrow")
-            .map_batches(explode_batch, batch_format="pyarrow")
-            .map_batches(NerTripleStage, batch_format="pyarrow",
-                         concurrency=2, fn_constructor_kwargs=dict(cfg=cfg))
-            .map_batches(flatten_spans, batch_format="pyarrow")
+            pages.map_batches(extract_pages_task, **ner_map_batches_kwargs(cfg))
+            .map_batches(lambda b: flatten_spans(extraction_rows(b)),
+                         batch_format="pyarrow")
         )
         cols = ["url", "para_idx", "start", "end", "label"]
         return ds.to_pandas().sort_values(cols).reset_index(drop=True)[cols]

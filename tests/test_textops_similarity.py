@@ -135,25 +135,6 @@ def test_minhash_verify_no_driver_collect(docs, monkeypatch):
     assert not any(3 in p for p in found)
 
 
-def test_simhash_buckets_colocate_dups(ray_session):
-    import ray
-
-    from portuguese_pt_legal_ner_ray.stages.dedup import simhash_buckets
-
-    # long docs differing by one token -> small hamming distance -> the
-    # 4x16-bit sub-band blocking must share >= 1 bucket (pigeonhole for d<=3)
-    base = " ".join(f"token{i}" for i in range(200))
-    variant = base.replace("token7 ", "tokenX ")
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array([base, base, variant], pa.string()),
-    }))
-    b = simhash_buckets(ds).to_pandas()
-    by_doc = b.groupby("doc_id")["bucket"].apply(set)
-    assert by_doc[0] == by_doc[1]               # identical docs: all buckets shared
-    assert by_doc[0] & by_doc[2]                # near dup: >=1 shared bucket
-
-
 def test_brute_force_topk_matches_numpy(ray_session):
     import ray
 
