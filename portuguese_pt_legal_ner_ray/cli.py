@@ -74,8 +74,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                      if k in ("pages", "paragraphs", "link_keys", "link_pairs",
                               "nodes", "edges", "spans", "triples", "errors",
                               "mentions", "mentions_rows", "mentions_bytes",
-                              "link_path", "phases", "wall_s", "in_bytes",
-                              "blocks")})
+                              "link_path", "graph_path", "triples_rows",
+                              "phases", "wall_s", "in_bytes", "blocks")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):
         # reference src/tracking.py:253-272 parity: confusion matrix saved

@@ -32,27 +32,31 @@ already are saves the graph stage a re-read of ``extraction/``; an
 ``append`` leaves the old partitions' files as they are.
 
 Independent write jobs run at the same time, from driver threads, up to one
-per cluster CPU (``_run_writes``): the jobs of every pending partition, and
-the ``nodes`` and ``edges`` writes after linking: a crawl of P pending
-partitions is P + 2 Ray executions. A small job
+per cluster CPU (``_run_writes``): the jobs of every pending partition, and,
+above ``linking.DRIVER_CC_MAX_KEYS`` rows, the ``nodes`` and ``edges``
+writes after linking. A crawl of P pending partitions is P Ray executions
+below that bound and P + 2 above it. A small job
 keeps only one or two of the cluster's CPUs busy, so run one after another
 they leave most CPUs idle. Every Dataset is built in the calling thread
 first; only the executions fan out.
 
-Every read is byte-sized (``sources/parquet.sized_read_parquet``: one block
-per 32 MB). Concurrent jobs compete for the same CPUs, so the tasks each one
+Every Ray read is byte-sized (``sources/parquet.sized_read_parquet``: one
+block per 32 MB). Concurrent jobs compete for the same CPUs, so the tasks each one
 schedules set the wall time, not its bytes: Ray's default read splits an
-80 KB page file into 8 blocks. The graph stage and the JSONL export read
-with no block floor. The extract reads take a derived floor,
+80 KB page file into 8 blocks. The graph stage's Ray jobs and the JSONL
+export read with no block floor. The extract reads take a derived floor,
 ``ceil(cluster CPUs / partitions written together)`` (``_read_floor``): one
 block per partition in a full crawl, every CPU for a lone re-extracted
 partition, whose NER a real model would otherwise run on one core.
 
 The wide section (linking + graph) runs once over all partitions' mention
 partials and triples — its inputs (distinct entities, triples) are orders
-of magnitude smaller than the corpus. It runs two Ray jobs, ``nodes`` and
-``edges``; linking reads ``mentions/`` with pyarrow in the driver unless it
-is above ``linking.DRIVER_CC_MAX_KEYS`` rows.
+of magnitude smaller than the corpus. While ``mentions/`` and
+``graph/triples`` each hold at most ``linking.DRIVER_CC_MAX_KEYS`` rows, it
+runs in the driver with no Ray execution: linking, ``nodes`` and ``edges``
+read with pyarrow and one Parquet file per table is written. Above the
+bound, banding runs as Ray tasks and ``nodes`` and ``edges`` as two Ray
+jobs; both placements call the same ``stages/graph`` kernels.
 
 Every stage runs on Ray task workers; there is no actor pool, so no stage
 holds CPUs that read tasks wait for (the pipeline progresses on a
@@ -107,8 +111,9 @@ from ..stages.graph import (
     EDGES_SCHEMA,
     NODES_SCHEMA,
     build_edges,
-    make_apply_comp,
-    nodes_from_comp,
+    build_nodes,
+    edges_table,
+    nodes_table,
 )
 from ..state.manifest import Manifest, parquet_row_count
 
@@ -368,6 +373,46 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     return {**_partition_row(files, out_dir, part, input_sig), **reads}
 
 
+# each graph table: its input directory under out_dir, the input's schema
+# and the columns it reads, its schema, and its driver and Ray builders
+_GRAPH_TABLES = {
+    "nodes": ("mentions", MENTIONS_SCHEMA, ["key", "surface", "n"],
+              NODES_SCHEMA, nodes_table, build_nodes),
+    "edges": ("graph/triples", TRIPLES_SCHEMA,
+              ["subj", "pred", "obj", "subj_label", "obj_label"],
+              EDGES_SCHEMA, edges_table, build_edges),
+}
+
+
+def _driver_graph(out_dir: Path, mapping: dict[str, str]) -> dict[str, float]:
+    """``graph/nodes`` and ``graph/edges`` built in this process, one
+    Parquet file each (``empty.parquet`` in its schema when it has no
+    rows); -> each table's wall seconds."""
+    phases = {}
+    for name, (src, src_schema, cols, schema, build, _) in _GRAPH_TABLES.items():
+        start = time.perf_counter()
+        rows = build(linking.driver_read(out_dir / src, src_schema, cols), mapping)
+        d = out_dir / "graph" / name
+        d.mkdir(parents=True)
+        pq.write_table(rows.cast(schema),
+                       d / ("part-00000.parquet" if rows.num_rows else "empty.parquet"))
+        phases[name] = time.perf_counter() - start
+    return phases
+
+
+def _ray_graph(out_dir: Path, mapping: dict[str, str]) -> dict[str, float]:
+    """``graph/nodes`` and ``graph/edges`` as two Ray jobs run at the same
+    time (``_run_writes``); -> each job's wall seconds."""
+    # broadcast only non-identity entries: dicts are not zero-copy in the
+    # object store; lookups default to identity
+    mapping_ref = ray.put(mapping)
+    jobs = [(build(sized_read_parquet(str(out_dir / src), columns=cols), mapping_ref),
+             TablesSink([(out_dir / "graph" / name, schema)]))
+            for name, (src, _, cols, schema, _, build) in _GRAPH_TABLES.items()]
+    return {name: end - start
+            for name, (start, end) in zip(_GRAPH_TABLES, _run_writes(jobs))}
+
+
 def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     """The wide section: mention partials → linking → nodes/edges.
 
@@ -376,52 +421,47 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     ``mentions/`` into one non-identity key -> component map (banding in
     the driver over the keys pyarrow reads, or as Ray tasks above
     ``linking.DRIVER_CC_MAX_KEYS`` partial rows; union-find in the driver
-    either way), broadcast once to the two Ray jobs, which run at the same
-    time (``_run_writes``): ``nodes`` (``mentions/`` → canonical ids →
-    ``grouped_agg``) and ``edges`` (``graph/triples`` → canonical ids →
-    ``grouped_count``). Both read byte-sized with no block floor, so a
-    small run's ``nodes`` and ``edges`` are one file each. Only those two
-    tables are deleted before the stage runs.
+    either way). ``nodes`` (``mentions/`` → canonical ids → ``NODE_AGG``)
+    and ``edges`` (``graph/triples`` → canonical ids → count) are then
+    built where their inputs fit: while ``mentions/`` and ``graph/triples``
+    each hold at most ``linking.DRIVER_CC_MAX_KEYS`` rows (Parquet
+    footers), in the driver (``_driver_graph``: pyarrow reads, the map
+    applied in-process, one file per table), so a small run's graph stage
+    runs no Ray execution; above it, as two Ray jobs that read byte-sized
+    with no block floor (``_ray_graph``). Both call the same
+    ``stages/graph`` kernels. Only those two tables are deleted before the
+    stage runs.
     Returns the graph manifest row: row counts, the link counters
     (``link_path``, ``link_keys``, ``link_pairs``, and the rows and bytes
-    of ``mentions/`` it read), the ``in_bytes`` and ``blocks`` of the two
-    jobs' reads, and per-phase wall seconds: ``link``, each job, and
+    of ``mentions/`` it read), ``graph_path`` (``"driver"`` or
+    ``"distributed"``), ``triples_rows``, the ``in_bytes`` of the two
+    inputs and the ``blocks`` they were read as (one table each in the
+    driver), and per-phase wall seconds: ``link``, ``nodes``, ``edges`` and
     ``writes`` for both.
     """
     graph = out_dir / "graph"
-    mentions, triples = out_dir / "mentions", graph / "triples"
-    for name in ("nodes", "edges"):
+    for name in _GRAPH_TABLES:
         if (graph / name).exists():
             shutil.rmtree(graph / name)
-    phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    mapping, link_stats = linking.link(mentions, cfg.linking)
-    # broadcast only non-identity entries: dicts are not zero-copy in the
-    # object store; lookups default to identity
-    mapping_ref = ray.put(mapping)
-    phases["link"] = time.perf_counter() - t0
-    plans = [read_plan(str(d)) for d in (mentions, triples)]
-    nodes = nodes_from_comp(
-        sized_read_parquet(str(mentions), columns=["key", "surface", "n"])
-        .map_batches(make_apply_comp(mapping_ref), batch_format="pyarrow"))
-    edges = build_edges(
-        sized_read_parquet(str(triples), columns=["subj", "pred", "obj",
-                                                   "subj_label", "obj_label"]),
-        mapping_ref)
-    jobs = {"nodes": (nodes, NODES_SCHEMA), "edges": (edges, EDGES_SCHEMA)}
+    mapping, link_stats = linking.link(out_dir / "mentions", cfg.linking)
+    phases = {"link": time.perf_counter() - t0}
+    triples_rows = parquet_row_count(graph / "triples")
+    plans = [read_plan(str(out_dir / src)) for src, *_ in _GRAPH_TABLES.values()]
+    in_driver = max(link_stats["mentions_rows"], triples_rows) <= linking.DRIVER_CC_MAX_KEYS
     t = time.perf_counter()
-    timings = _run_writes([(job, TablesSink([(graph / name, schema)]))
-                           for name, (job, schema) in jobs.items()])
-    for name, (start, end) in zip(jobs, timings):
-        phases[name] = end - start
+    phases.update((_driver_graph if in_driver else _ray_graph)(out_dir, mapping))
     phases["writes"] = time.perf_counter() - t
     return {
         **link_stats,
+        "graph_path": "driver" if in_driver else "distributed",
+        "triples_rows": triples_rows,
         "in_bytes": sum(b for b, _ in plans),
-        "blocks": sum(n for _, n in plans),
+        "blocks": len(plans) if in_driver else sum(n for _, n in plans),
         "phases": {k: round(v, 3) for k, v in phases.items()},
+        "triples": triples_rows,
         **{name: parquet_row_count(graph / name)
-           for name in ("nodes", "edges", "spans", "triples", "errors")},
+           for name in ("nodes", "edges", "spans", "errors")},
     }
 
 
@@ -448,7 +488,9 @@ def run_kg_pipeline(
     files are deleted first.
 
     Each pending partition is one Ray job (``_extract_job``), and the graph
-    stage two, so a run with P pending partitions is P + 2 Ray executions.
+    stage none below ``linking.DRIVER_CC_MAX_KEYS`` rows (two above it), so
+    a run with P pending partitions is P Ray executions (P + 2 above the
+    bound).
     The jobs of all pending partitions run at the same time
     (``_run_writes``), unless ``cfg.ner_concurrency`` is set: then one
     partition runs at a time, so the cap holds for the whole run. Each
@@ -462,10 +504,11 @@ def run_kg_pipeline(
     An empty batch (a resumed run with nothing pending) builds no jobs.
 
     The graph row's link counters (``link_path``, ``link_keys``,
-    ``link_pairs``, ``mentions_rows``, ``mentions_bytes``), its reads'
+    ``link_pairs``, ``mentions_rows``, ``mentions_bytes``), where the graph
+    tables were built (``graph_path``), ``triples_rows``, its reads'
     ``in_bytes`` and ``blocks``, and per-phase ``phases`` sit next to
-    ``plan_fp``, outside it. Tests
-    force task-side banding by monkeypatching ``linking.DRIVER_CC_MAX_KEYS``.
+    ``plan_fp``, outside it. Tests force the Ray side of linking and of the
+    graph tables by monkeypatching ``linking.DRIVER_CC_MAX_KEYS``.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —
     used by the kill-and-resume test only.

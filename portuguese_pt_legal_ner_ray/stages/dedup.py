@@ -5,8 +5,6 @@
 * minhash + LSH near-dup — shingle -> minhash -> band -> ``groupby(band)``
   -> in-bucket verified pairs (the scale path: candidate generation never
   goes quadratic in the corpus, only within buckets)
-* char-Jaccard near-dup  — distinct-character Jaccard >= threshold
-  (deliberately simple so DuckDB's ``jaccard()`` provides a SQL oracle)
 
 At 100 TB: exact dedup shuffles only (hash(text) -> fingerprint) pairs, not
 raw text, when ``by_fingerprint=True``; LSH shuffles one row per (doc, band).
@@ -386,48 +384,3 @@ def _ngram_keep(t: "pa.Table", threshold: float, max_gram_df: int) -> "pa.Table"
     nb = t["nb"].to_numpy(zero_copy_only=False)
     mask = ni / (na + nb - ni) >= threshold
     return t.filter(pa.array(mask)).select(["id_a", "id_b"])
-
-
-def char_jaccard_pairs(docs: Dataset, threshold: float = 0.5,
-                       text_col: str = "text",
-                       max_rows: int = 50_000) -> Dataset:
-    """All pairs with distinct-character Jaccard >= threshold.
-
-    O(n²) by design — the SQL-oracle-checkable baseline for the LSH path
-    (DuckDB ``jaccard()`` uses the same distinct-character semantics).
-    ``max_rows`` guards against pointing this baseline at a real corpus:
-    it raises above the cap instead of silently pulling the whole doc table
-    to the driver — use :func:`near_dup_pairs_minhash` (the bucketed scale
-    path) there, or raise the cap explicitly.
-    """
-    import ray
-
-    n = docs.count()
-    if n > max_rows:
-        raise ValueError(
-            f"char_jaccard_pairs is an O(n²) oracle baseline; input has {n} "
-            f"rows > max_rows={max_rows}. Use the MinHash/LSH scale path "
-            f"(minhash_lsh_pairs) or raise max_rows explicitly."
-        )
-    df = docs.select_columns(["doc_id", text_col]).to_pandas()
-    items = sorted((i, frozenset(t)) for i, t in zip(df["doc_id"], df[text_col]))
-    items_ref = ray.put(items)  # broadcast once; outer loop is distributed
-
-    def pair_scan(batch: pa.Table, items_ref) -> pa.Table:
-        items = ray.get(items_ref)
-        a_out, b_out = [], []
-        for ia, text in zip(batch["doc_id"].to_pylist(), batch[text_col].to_pylist()):
-            sa = frozenset(text)
-            for ib, sb in items:
-                if ib <= ia:
-                    continue
-                inter = len(sa & sb)
-                if inter and inter / (len(sa) + len(sb) - inter) >= threshold:
-                    a_out.append(ia)
-                    b_out.append(ib)
-        return pa.table({"id_a": pa.array(a_out, pa.int64()),
-                         "id_b": pa.array(b_out, pa.int64())})
-
-    return docs.select_columns(["doc_id", text_col]).map_batches(
-        pair_scan, batch_format="pyarrow", fn_kwargs=dict(items_ref=items_ref))
-

@@ -44,15 +44,19 @@ from ..state.manifest import parquet_row_count
 from .extract import MENTIONS_SCHEMA
 from .shuffle import exchange, grouped_agg, grouped_count, worker_cached
 
-# Above this many mention partial rows (an upper bound on distinct linkable
-# keys, counted from the Parquet footers), banding, pairing and verification
-# run as Ray tasks instead of in the driver; union-find stays in the driver
-# either way. With each key shingled once, the driver side was faster at
-# every measured size at 4 CPUs (8.6 vs 15.3 s at 20k keys, 68 vs 153 s at
-# 200k, 355 vs 965 s at 1M; scripts/bench_scale_paths.py --link --keys N,
-# BASELINE.md), and the gap grew with size; no crossover was found, so the
-# bound stays at 2M. Read at call time, so tests force the task side with a
-# tiny override.
+# The row bound on every driver-side read of the wide section
+# (``driver_read``), counted from the Parquet footers. Above this many
+# mention partial rows (an upper bound on distinct linkable keys), banding,
+# pairing and verification run as Ray tasks instead of in the driver;
+# union-find stays in the driver either way. ``pipelines/kg.graph_stage``
+# builds ``graph/nodes`` and ``graph/edges`` in the driver while
+# ``mentions/`` and ``graph/triples`` each hold at most this many rows, and
+# as two Ray jobs above it. With each key shingled once, the driver side of
+# linking was faster at every measured size at 4 CPUs (8.6 vs 15.3 s at 20k
+# keys, 68 vs 153 s at 200k, 355 vs 965 s at 1M;
+# scripts/bench_scale_paths.py --link --keys N, BASELINE.md), and the gap
+# grew with size; no crossover was found, so the bound stays at 2M. Read at
+# call time, so tests force the Ray side with a tiny override.
 DRIVER_CC_MAX_KEYS = 2_000_000
 _LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 
@@ -226,9 +230,18 @@ def _task_pairs(linkable: Dataset, cfg: LinkingConfig) -> tuple[list[tuple[str, 
     banding, pairing and verification as Ray tasks."""
     keys = grouped_agg(linkable, ["key"], {"label": ("label", "min")}).materialize()
     bands = keys.map_batches(band_task, batch_format="pyarrow", fn_kwargs=dict(cfg=cfg))
+    # an empty input leaves the exchange an empty block with no columns
     pairs = [p for block in ray.get(candidate_pairs(bands, cfg).to_arrow_refs())
+             if block.num_rows
              for p in zip(block["a"].to_pylist(), block["b"].to_pylist())]
     return pairs, keys.count()
+
+
+def driver_read(path: str | Path, schema: pa.Schema, columns: list[str]) -> pa.Table:
+    """``columns`` of the Parquet table under directory ``path`` (one
+    ``part=<p>`` subdirectory per partition, no partition column), read
+    whole into the driver with pyarrow: no Ray execution."""
+    return pads.dataset(str(path), schema=schema, format="parquet").to_table(columns=columns)
 
 
 def link(mentions: str | Path, cfg: LinkingConfig) -> tuple[dict[str, str], dict]:
@@ -246,8 +259,7 @@ def link(mentions: str | Path, cfg: LinkingConfig) -> tuple[dict[str, str], dict
     (the partial rows and file bytes read)."""
     rows = parquet_row_count(mentions)
     if rows <= DRIVER_CC_MAX_KEYS:
-        tbl = pads.dataset(str(mentions), schema=MENTIONS_SCHEMA,
-                           format="parquet").to_table(columns=["key", "label"])
+        tbl = driver_read(mentions, MENTIONS_SCHEMA, ["key", "label"])
         keys = sorted(pc.unique(linkable_rows(tbl)["key"]).to_pylist())
         path, pairs, n_keys = "driver", _driver_pairs(keys, cfg), len(keys)
     else:

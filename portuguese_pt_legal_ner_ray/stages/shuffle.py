@@ -13,7 +13,9 @@
 * ``grouped_count`` / ``grouped_count_distinct`` / ``grouped_agg`` put a
   *combiner* in front of it: per-batch Arrow ``Table.group_by`` (C++ hash
   aggregation), so the shuffle moves partial aggregates, never raw rows,
-  and one Arrow group_by per sorted block merges the partials.
+  and one Arrow group_by per sorted block merges the partials. The
+  combiners are the whole-table kernels :func:`count_by` / :func:`agg_by`;
+  run once over a whole table, they are its exact result.
 
 All aggregates used are decomposable (min/max/sum/count as sum), so results
 are exact at any parallelism (each key hashes to exactly one bucket).
@@ -220,19 +222,33 @@ def strip_schema_metadata(ds: Dataset) -> Dataset:
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
+def count_by(tbl: pa.Table, cols: list[str], alias: str = "count") -> pa.Table:
+    """``groupby(cols).count()`` of one Arrow table (SQL ``count(*)``, null
+    keys included): :func:`grouped_count`'s combiner, and over a whole
+    table its whole result."""
+    g = tbl.group_by(cols).aggregate([([], "count_all")])
+    return _agg_select(g, cols, ["count_all"], [alias])
+
+
+def agg_by(tbl: pa.Table, cols: list[str],
+           agg_spec: dict[str, tuple[str, str]]) -> pa.Table:
+    """Grouped aggregation of one Arrow table (C++ hash aggregation).
+    ``agg_spec``: output_col -> (source_col, how). :func:`grouped_agg`'s
+    combiner and bucket merge, and over a whole table its whole result."""
+    aggs = list(agg_spec.values())
+    g = tbl.group_by(cols).aggregate(aggs)
+    return _agg_select(g, cols, [f"{s}_{h}" for s, h in aggs], list(agg_spec))
+
+
 def grouped_count(ds: Dataset, cols: list[str], alias: str = "count") -> Dataset:
     """Exact ``groupby(cols).count()`` (SQL ``count(*)``, null keys
-    included) with combiner + bucketed merge."""
-
-    def preagg(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(cols).aggregate([([], "count_all")])
-        return _agg_select(g, cols, ["count_all"], [alias])
+    included) with combiner (:func:`count_by`) + bucketed merge."""
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        out = g.group_by(cols).aggregate([(alias, "sum")])
-        return _agg_select(out, cols, [f"{alias}_sum"], [alias])
+        return agg_by(g, cols, {alias: (alias, "sum")})
 
-    return exchange(ds.map_batches(preagg, batch_format="pyarrow", batch_size=None),
+    return exchange(ds.map_batches(count_by, batch_format="pyarrow", batch_size=None,
+                                   fn_kwargs=dict(cols=cols, alias=alias)),
                     cols, per_bucket)
 
 
@@ -273,9 +289,7 @@ def grouped_agg(ds: Dataset | list[Dataset], cols: list[str],
     outs = list(agg_spec)
 
     def preagg(batch: pa.Table) -> pa.Table:
-        aggs = [(s, h) for s, h in agg_spec.values()]
-        g = batch.group_by(cols).aggregate(aggs)
-        return _agg_select(g, cols, [f"{s}_{h}" for s, h in aggs], outs)
+        return agg_by(batch, cols, agg_spec)
 
     def rename_only(batch: pa.Table) -> pa.Table:
         # input columns carry source names; rename to output names first
@@ -283,9 +297,7 @@ def grouped_agg(ds: Dataset | list[Dataset], cols: list[str],
         return batch.select([*cols, *srcs]).rename_columns([*cols, *outs])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        aggs = [(o, h) for o, (_s, h) in agg_spec.items()]
-        out = g.select([*cols, *outs]).group_by(cols).aggregate(aggs)
-        return _agg_select(out, cols, [f"{o}_{h}" for o, h in aggs], outs)
+        return agg_by(g, cols, {o: (o, h) for o, (_s, h) in agg_spec.items()})
 
     # batch_size=None -> whole blocks: the combiner's reduction ratio (and
     # therefore the shuffle volume) scales with batch size, and the Arrow

@@ -430,197 +430,3 @@ def binned_quantiles(ds: Dataset, col: str, qs: list[float],
     return pd.DataFrame(
         [{"q": float(q), "value": resolved[float(q)]} for q in qs]
     )
-
-
-def grouped_binned_quantiles(ds: Dataset, group_cols: list[str],
-                             value_col: str, qs: list[float],
-                             num_bins: int = 1024,
-                             max_refine_rows: int = 200_000) -> "pd.DataFrame":
-    """EXACT per-group quantiles for UNBOUNDED-cardinality value columns —
-    the grouped companion of :func:`binned_quantiles` (whose
-    :func:`grouped_quantiles` sibling ships one histogram row per distinct
-    (group, value) and so only fits bounded-cardinality columns).
-
-    Shape: one ``grouped_agg`` combiner shuffle gets per-group
-    ``(min, max, count)``; ONE vectorized streamed pass then bins every row
-    against ITS OWN group's range (per-row group-id lookup + fused
-    ``gid * num_bins + bin`` bincount — no per-group masks) and partials
-    merge by addition; each (group, q) rank walks its group's cumsum; one
-    combined filtered collect pass gathers the (group, bin) targets small
-    enough to rank exactly; a group bin still holding more than
-    ``max_refine_rows`` rows recurses via :func:`binned_quantiles` on the
-    group-and-bin-filtered stream (rare — only mega-hot value ranges).
-
-    Assumes the GROUP cardinality is driver-sized (the standard reporting
-    contract — a per-group quantile report is read by humans); value
-    cardinality per group is unbounded. Exact under DuckDB's
-    ``quantile_disc`` rule. -> DataFrame (*group_cols, q, value).
-    """
-    import math
-
-    import pandas as pd
-
-    from .shuffle import _SEP, grouped_agg, hash_strings
-
-    vals = ds.select_columns([*group_cols, value_col])
-
-    def with_one(t: pa.Table) -> pa.Table:
-        # n counts non-null values only (DuckDB's quantile_disc ignores
-        # nulls); min/max already skip them
-        valid = pc.cast(pc.is_valid(t[value_col]), pa.int64())
-        return t.append_column("__one", valid)
-
-    # one row per group — driver-sized by contract
-    parts = list(grouped_agg(
-        vals.map_batches(with_one, batch_format="pyarrow"),
-        group_cols,
-        {"lo": (value_col, "min"), "hi": (value_col, "max"),
-         "n": ("__one", "sum")},
-    ).iter_batches(batch_format="pyarrow"))
-    if not sum(len(p) for p in parts):
-        return pd.DataFrame(columns=[*group_cols, "q", "value"])
-    stats_t = pa.concat_tables(parts).sort_by([(c, "ascending") for c in group_cols])
-    stats = stats_t.to_pandas()
-
-    def joined_key(t: pa.Table):
-        j = pc.binary_join_element_wise(
-            *[pc.cast(t[c], pa.string()) for c in group_cols], _SEP
-        )
-        return j.combine_chunks() if isinstance(j, pa.ChunkedArray) else j
-
-    def non_null(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_valid(t[value_col]))
-
-    # group keys through the SAME Arrow cast that matches rows below
-    # (Python str() spells True/2.0 where Arrow's cast gives true/2)
-    gkeys = joined_key(stats_t)
-    n_groups = len(gkeys)
-    lo_arr = stats["lo"].to_numpy(dtype=np.float64)
-    hi_arr = stats["hi"].to_numpy(dtype=np.float64)
-    B = int(num_bins)
-    import ray as _ray
-
-    gkeys_ref = _ray.put(gkeys)
-    bounds_ref = _ray.put((lo_arr, hi_arr))
-
-    def gids(t: pa.Table) -> np.ndarray:
-        # vectorized group-id lookup: Arrow index_in against the broadcast
-        # group-key array (every key is present by construction)
-        idx = pc.index_in(joined_key(t), value_set=_ray.get(gkeys_ref))
-        return idx.to_numpy(zero_copy_only=False).astype(np.int64)
-
-    def level_hist(t: pa.Table) -> pa.Table:
-        lo_a, hi_a = _ray.get(bounds_ref)
-        t = non_null(t)
-        gid = gids(t)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        width = hi_a[gid] - lo_a[gid]
-        width[width == 0] = 1.0  # single-valued group: everything -> bin 0
-        b = np.clip(((v - lo_a[gid]) / width * B).astype(np.int64), 0, B - 1)
-        fused = gid * B + b
-        cnt = np.bincount(fused, minlength=n_groups * B)
-        kmin = np.full(n_groups * B, np.inf)
-        kmax = np.full(n_groups * B, -np.inf)
-        np.minimum.at(kmin, fused, v)
-        np.maximum.at(kmax, fused, v)
-        nz = np.flatnonzero(cnt)
-        return pa.table({
-            "cell": pa.array(nz, pa.int64()),
-            "n": pa.array(cnt[nz], pa.int64()),
-            "lo": pa.array(kmin[nz], pa.float64()),
-            "hi": pa.array(kmax[nz], pa.float64()),
-        })
-
-    agg_n = np.zeros(n_groups * B, dtype=np.int64)
-    agg_lo = np.full(n_groups * B, np.inf)
-    agg_hi = np.full(n_groups * B, -np.inf)
-    for part in vals.map_batches(level_hist, batch_format="pyarrow") \
-                     .iter_batches(batch_format="pyarrow"):
-        ci = part["cell"].to_numpy(zero_copy_only=False)
-        np.add.at(agg_n, ci, part["n"].to_numpy(zero_copy_only=False))
-        np.minimum.at(agg_lo, ci, part["lo"].to_numpy(zero_copy_only=False))
-        np.maximum.at(agg_hi, ci, part["hi"].to_numpy(zero_copy_only=False))
-
-    resolved: dict[tuple[int, float], float] = {}
-    collect: dict[tuple[int, float], tuple[int, int]] = {}  # -> (rank_in_bin, cell)
-    recurse: dict[tuple[int, float], tuple[int, float, float]] = {}
-    for gi in range(n_groups):
-        total = int(stats["n"].iloc[gi])
-        cum = np.cumsum(agg_n[gi * B:(gi + 1) * B])
-        for q in qs:
-            if total == 0:  # all values null: SQL NULL
-                resolved[(gi, float(q))] = float("nan")
-                continue
-            rank = max(1, math.ceil(float(q) * total))
-            j = int(np.searchsorted(cum, rank, side="left"))
-            rank_in_bin = rank - (int(cum[j - 1]) if j > 0 else 0)
-            cell = gi * B + j
-            clo, chi = float(agg_lo[cell]), float(agg_hi[cell])
-            if clo == chi:
-                resolved[(gi, float(q))] = clo
-            elif int(agg_n[cell]) <= max_refine_rows:
-                collect[(gi, float(q))] = (rank_in_bin, cell)
-            else:
-                recurse[(gi, float(q))] = (rank_in_bin, clo, chi,
-                                           int(agg_n[cell]))
-
-    if collect:
-        cells = sorted({cell for _, cell in collect.values()})
-        cells_ref = _ray.put(np.array(cells, dtype=np.int64))
-
-        def take_small(t: pa.Table) -> pa.Table:
-            lo_a, hi_a = _ray.get(bounds_ref)
-            want = _ray.get(cells_ref)
-            t = non_null(t)
-            gid = gids(t)
-            v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            width = hi_a[gid] - lo_a[gid]
-            width[width == 0] = 1.0
-            b = np.clip(((v - lo_a[gid]) / width * B).astype(np.int64), 0, B - 1)
-            fused = gid * B + b
-            idx = np.searchsorted(want, fused)
-            idx = np.clip(idx, 0, len(want) - 1)
-            m = want[idx] == fused
-            return pa.table({"cell": pa.array(fused[m], pa.int64()),
-                             "v": pa.array(v[m], pa.float64())})
-
-        pool: dict[int, list[np.ndarray]] = {c: [] for c in cells}
-        for part in vals.map_batches(take_small, batch_format="pyarrow") \
-                         .iter_batches(batch_format="pyarrow"):
-            ci = part["cell"].to_numpy(zero_copy_only=False)
-            vv = part["v"].to_numpy(zero_copy_only=False)
-            for c in np.unique(ci):
-                pool[int(c)].append(vv[ci == c])
-        for key, (rank_in_bin, cell) in collect.items():
-            arr = np.concatenate(pool[cell])
-            resolved[key] = float(np.partition(arr, rank_in_bin - 1)[rank_in_bin - 1])
-
-    for (gi, q), (rank_in_bin, clo, chi, n_sub) in recurse.items():
-        # mega-hot (group, bin): refine on the group-and-range-filtered
-        # stream via the global exact path, asking for the value at the
-        # residual rank. q' = (rank_in_bin - 0.5) / n_sub makes
-        # ceil(q' * n_sub) == rank_in_bin robustly (the 0.5 slack dwarfs
-        # any float64 rounding; a bare rank/n_sub ratio could ceil to
-        # rank_in_bin + 1 on an upward-rounded product).
-        def only(t: pa.Table, g=gkeys[gi].as_py(), lo=clo, hi=chi) -> pa.Table:
-            t = t.filter(pc.equal(joined_key(t), g))
-            v = t[value_col]
-            keep = pc.and_(pc.greater_equal(v, lo), pc.less_equal(v, hi))
-            return t.filter(keep).select([value_col])
-
-        sub = vals.map_batches(only, batch_format="pyarrow")
-        # n_sub comes from the already-merged histogram (the filter selects
-        # exactly that bin's values — binning is monotonic in v), saving a
-        # counting pass over the stream
-        qprime = (rank_in_bin - 0.5) / n_sub
-        out = binned_quantiles(sub, value_col, [qprime],
-                               num_bins=num_bins,
-                               max_refine_rows=max_refine_rows)
-        resolved[(gi, float(q))] = float(out["value"].iloc[0])
-
-    rows = []
-    for gi in range(n_groups):
-        gvals = [stats[c].iloc[gi] for c in group_cols]
-        for q in qs:
-            rows.append((*gvals, float(q), resolved[(gi, float(q))]))
-    return pd.DataFrame(rows, columns=[*group_cols, "q", "value"])

@@ -1,7 +1,8 @@
 """Scale-path evidence benches (VERDICT r3 items #1 and #2 done-criteria).
 
 1. ``--link``: ``linking.link`` with banding in the driver vs as Ray tasks
-   (the two placements ``DRIVER_CC_MAX_KEYS`` chooses between) on the same
+   (the two placements ``DRIVER_CC_MAX_KEYS`` chooses between; the same
+   bound places ``graph_stage``'s nodes/edges builds) on the same
    200k (``--keys N``) synthetic linkable keys plus one hot cluster;
    asserts equal maps and equal verified-pair counts, and prints each
    side's wall time.

@@ -819,76 +819,3 @@ def test_left_join_spreads_null_keys_over_buckets(ray_session, monkeypatch):
     got, tagged = run(hash_join)
     assert got["p"].to_pylist() == list(range(0, n, 4))
     assert tagged["k"].null_count == 0
-
-
-def test_grouped_binned_quantiles_exact_vs_duckdb(ray_session):
-    """grouped_binned_quantiles == DuckDB quantile_disc PER GROUP on a
-    continuous (mostly unique) value column — unbounded per-group value
-    cardinality, where grouped_quantiles' per-distinct-value exchange
-    degenerates. Covers: multi-group routing, a single-valued group, the
-    collect path, and the forced recursion path (tiny max_refine_rows)."""
-    import duckdb
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    from portuguese_pt_legal_ner_ray.stages.sketches import (
-        grouped_binned_quantiles,
-    )
-
-    rng = np.random.default_rng(55)
-    frames = []
-    for g, (n, scale) in enumerate([(3000, 10.0), (1200, 500.0), (800, 2.0)]):
-        frames.append(pd.DataFrame({
-            "grp": f"g{g}", "x": rng.lognormal(3, 1.2, n) * scale}))
-    frames.append(pd.DataFrame({"grp": "gsame", "x": np.full(50, 7.25)}))
-    df = pd.concat(frames, ignore_index=True)
-    qs = [0.1, 0.5, 0.9, 1.0]
-    con = duckdb.connect()
-    con.register("t", df)
-    want = {}
-    for q in qs:
-        for grp, val in con.sql(
-                f"SELECT grp, quantile_disc(x, {q}) FROM t GROUP BY grp").fetchall():
-            want[(grp, q)] = val
-
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    for parts, refine in [(1, 200_000), (9, 200_000), (9, 100)]:
-        ds = ray.data.from_arrow(tbl).repartition(parts)
-        got = grouped_binned_quantiles(ds, ["grp"], "x", qs,
-                                       num_bins=64, max_refine_rows=refine)
-        assert len(got) == 4 * len(qs)
-        for _, row in got.iterrows():
-            assert row["value"] == want[(row["grp"], row["q"])], \
-                (parts, refine, row["grp"], row["q"])
-
-    # non-string group keys (bool, float: Python str() spells True/2.0,
-    # Arrow's cast true/2) and null values (skipped, not ranked; an
-    # all-null group answers SQL NULL), on the collect and recursion paths
-    i = np.arange(2000)
-    f = np.where(i % 3 == 0, 2.0, 0.5)
-    f[i % 50 == 1] = 1.25  # the 1.25 group holds only nulls
-    etbl = pa.table({
-        "b": pa.array(i % 2 == 0),
-        "f": pa.array(f),
-        "s": pa.array(np.where(i % 2 == 0, "even", "odd")),
-        "x": pa.array(rng.lognormal(3, 1.0, len(i)),
-                      mask=(i % 7 == 0) | (f == 1.25)),
-    })
-    con.register("e", etbl)
-    for gcol in ("b", "f", "s"):
-        ewant = {}
-        for q in qs:
-            for g, val in con.sql(f"SELECT {gcol}, quantile_disc(x, {q}) "
-                                  f"FROM e GROUP BY {gcol}").fetchall():
-                ewant[(g, q)] = val
-        for parts, refine in [(1, 200_000), (5, 50)]:
-            got = grouped_binned_quantiles(
-                ray.data.from_arrow(etbl).repartition(parts), [gcol], "x",
-                qs, num_bins=64, max_refine_rows=refine)
-            assert len(got) == len(ewant), (gcol, parts)
-            for _, row in got.iterrows():
-                w = ewant[(row[gcol], row["q"])]
-                assert (np.isnan(row["value"]) if w is None
-                        else row["value"] == w), (gcol, parts, row[gcol], row["q"])

@@ -1,9 +1,10 @@
 """run_kg_pipeline runs its independent Ray Data write jobs at the same time,
 from driver threads, up to one job per cluster CPU: the one job of every
-pending extract partition, then the nodes and edges writes. These tests pin
-that contract, the number of Ray executions it takes, and the two things it
-must not break: Ray's path handling under concurrent threads, and the NER
-concurrency cap."""
+pending extract partition, then, above ``linking.DRIVER_CC_MAX_KEYS`` rows,
+the nodes and edges writes (below it the driver builds both, with no Ray
+execution). These tests pin that contract, the number of Ray executions it
+takes, and the two things it must not break: Ray's path handling under
+concurrent threads, and the NER concurrency cap."""
 
 import threading
 import time
@@ -13,6 +14,7 @@ import pytest
 
 from portuguese_pt_legal_ner_ray.config import PipelineConfig
 from portuguese_pt_legal_ner_ray.pipelines import kg
+from portuguese_pt_legal_ner_ray.stages import linking
 
 
 def test_http_filesystem_check_survives_concurrent_threads():
@@ -68,11 +70,11 @@ def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 @pytest.mark.parametrize("cpus", [4, 1])
 def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus):
     """At 4 Ray CPUs the write jobs of two pending partitions overlap in
-    time, and so do the nodes and edges writes; at 1 CPU no two writes
-    overlap. The 1-CPU case reports one CPU to the pipeline from the 4-CPU
-    session. Each partition writes one job (all six of its tables, keyed by
-    the first, ``extracted/``), and the graph stage two (``nodes``,
-    ``edges``)."""
+    time; at 1 CPU they do not. The 1-CPU case reports one CPU to the
+    pipeline from the 4-CPU session. Each partition writes one job (all six
+    of its tables, keyed by the first, ``extracted/``); the graph stage
+    builds ``nodes`` and ``edges`` in the driver, with no Ray write
+    (``test_ray_graph_path_runs_two_executions`` covers its Ray jobs)."""
     import ray
 
     if cpus == 1:
@@ -81,14 +83,11 @@ def test_pending_partitions_write_together(mini_run, tmp_path, monkeypatch, cpus
     out = tmp_path / "out"
     kg.run_kg_pipeline(mini_run["input"], out, num_partitions=2)
     ner = [spans[str(out / "extracted" / f"part={p}")] for p in ("00000", "00001")]
-    graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges")]
+    assert len(spans) == 2
     if cpus > 1:
         assert _overlap(*ner)
-        assert _overlap(*graph)
     else:
-        ordered = sorted(spans.values())
-        assert len(ordered) == 2 + 2
-        assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
+        assert not _overlap(*ner)
 
 
 def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkeypatch):
@@ -121,20 +120,17 @@ def test_ner_concurrency_caps_tasks_across_partitions(mini_run, tmp_path, monkey
 def test_kg_reads_are_byte_sized(mini_run):
     """Every read of the fixture's run goes through ``sized_read_parquet``:
     the four extract reads (one job per partition) with a floor of
-    ceil(4 CPUs / 4 pending partitions) = 1 block, and the graph stage's
-    reads of ``mentions/`` and ``graph/triples`` with no floor; it never
-    reads ``extraction/``, and linking reads ``mentions/`` without Ray.
-    Each partition reads as one block, so each of its tables is one
-    Parquet file; ``errors`` is empty here, and is one zero-row file per
-    partition. ``nodes`` and ``edges`` come out of one block as one file
-    each (Ray's default read wrote 8)."""
+    ceil(4 CPUs / 4 pending partitions) = 1 block. The graph stage is below
+    ``linking.DRIVER_CC_MAX_KEYS`` rows, so linking, nodes and edges read
+    ``mentions/`` and ``graph/triples`` with pyarrow in the driver, with
+    no Ray read; it never reads ``extraction/``. Each partition reads as
+    one block, so each of its tables is one Parquet file; ``errors`` is
+    empty here, and is one zero-row file per partition. ``nodes`` and
+    ``edges`` are one file each."""
     reads, out = mini_run["reads"], mini_run["out"]
-    assert reads["ray"] == len(reads["sized"]) == 4 + 2
-    extract = [r for r in reads["sized"] if isinstance(r["paths"], list)]
-    assert len(extract) == 4 and all(r["min_blocks"] == 1 for r in extract)
-    graph = [r for r in reads["sized"] if not isinstance(r["paths"], list)]
-    assert graph == [{"paths": str(out / "mentions"), "min_blocks": 1},
-                     {"paths": str(out / "graph" / "triples"), "min_blocks": 1}]
+    assert reads["ray"] == len(reads["sized"]) == 4
+    assert all(isinstance(r["paths"], list) and r["min_blocks"] == 1
+               for r in reads["sized"])
     for table in ("extracted", "extraction", "mentions", "graph/spans",
                   "graph/triples", "graph/errors"):
         files = list((out / table).glob("*/*.parquet"))
@@ -183,21 +179,14 @@ def test_extract_read_floor_spans_cpus(mini_run, tmp_path, monkeypatch, kg_reads
     kg.run_kg_pipeline(inp, out, num_partitions=2)
     assert extract_floors() == [cpus]
 
-    # a resumed run with nothing pending reads nothing; each graph stage
-    # reads twice (mentions/, graph/triples)
+    # a resumed run with nothing pending reads nothing; the graph stage
+    # reads in the driver, without Ray
     kg.run_kg_pipeline(inp, out, num_partitions=2)
-    assert kg_reads["sized"] == [] and kg_reads["ray"] == (2 + 2) + (1 + 2)
+    assert kg_reads["sized"] == [] and kg_reads["ray"] == 2 + 1
 
 
-def test_crawl_runs_one_execution_per_partition(mini_run, tmp_path, monkeypatch):
-    """Each pending partition is one Ray execution (read, extract and all
-    six tables' writes in one job) and the graph stage two: a 4-partition
-    crawl of the fixture's corpus takes 4 + 2 ``StreamingExecutor.execute``
-    calls in the driver, an append that re-extracts one partition 1 + 2,
-    and a resume with nothing pending none."""
-    import os
-    import shutil
-
+def _count_executions(monkeypatch) -> list:
+    """Append one item per ``StreamingExecutor.execute`` call in the driver."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     calls = []
@@ -208,16 +197,65 @@ def test_crawl_runs_one_execution_per_partition(mini_run, tmp_path, monkeypatch)
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
+def _crawl_append_resume(inp: Path, out: Path, calls: list) -> list[int]:
+    """Ray executions of a 4-partition crawl, of an append that re-extracts
+    one partition (its input file touched), and of a resume."""
+    import os
+
+    counts = []
+    for step in ("crawl", "append", "resume"):
+        if step == "append":
+            touched = sorted(inp.glob("*.parquet"))[0]
+            st = touched.stat()
+            os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+        calls.clear()
+        kg.run_kg_pipeline(inp, out, num_partitions=4)
+        counts.append(len(calls))
+    return counts
+
+
+def test_crawl_runs_one_execution_per_partition(mini_run, tmp_path, monkeypatch):
+    """Each pending partition is one Ray execution (read, extract and all
+    six tables' writes in one job), and below ``linking.DRIVER_CC_MAX_KEYS``
+    rows the graph stage runs none: a 4-partition crawl of the fixture's
+    corpus takes 4 ``StreamingExecutor.execute`` calls in the driver, an
+    append that re-extracts one partition 1, and a resume with nothing
+    pending none."""
+    import shutil
+
+    calls = _count_executions(monkeypatch)
     inp, out = tmp_path / "in", tmp_path / "out"
     shutil.copytree(mini_run["input"], inp)
-    kg.run_kg_pipeline(inp, out, num_partitions=4)
-    assert len(calls) == 4 + 2
-    touched = sorted(inp.glob("*.parquet"))[0]
-    st = touched.stat()
-    os.utime(touched, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
-    calls.clear()
-    kg.run_kg_pipeline(inp, out, num_partitions=4)
-    assert len(calls) == 1 + 2
-    calls.clear()
-    kg.run_kg_pipeline(inp, out, num_partitions=4)
-    assert calls == []
+    assert _crawl_append_resume(inp, out, calls) == [4, 1, 0]
+
+
+def test_ray_graph_path_runs_two_executions(mini_run, tmp_path, monkeypatch):
+    """Above the bound (forced to 10 rows) the graph stage runs ``nodes``
+    and ``edges`` as two Ray jobs, whose writes overlap in time at 4 CPUs.
+    Banding then runs as Ray tasks too; counting the executions inside
+    ``linking.link`` apart, a crawl takes 4 + 2, an append 1 + 2 and a
+    resume none."""
+    import shutil
+
+    monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", 10)
+    spans = _spy_writes(monkeypatch)
+    calls = _count_executions(monkeypatch)
+    in_link: list[int] = []
+    real_link = linking.link
+
+    def counted_link(*args, **kwargs):
+        before = len(calls)
+        got = real_link(*args, **kwargs)
+        in_link.append(len(calls) - before)
+        return got
+
+    monkeypatch.setattr(linking, "link", counted_link)
+    inp, out = tmp_path / "in", tmp_path / "out"
+    shutil.copytree(mini_run["input"], inp)
+    counts = _crawl_append_resume(inp, out, calls)
+    assert len(in_link) == 2 and all(n > 0 for n in in_link)
+    assert counts == [4 + 2 + in_link[0], 1 + 2 + in_link[1], 0]
+    assert _overlap(*(spans[str(out / "graph" / t)] for t in ("nodes", "edges")))

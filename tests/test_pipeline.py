@@ -206,9 +206,11 @@ def test_triple_set_precision_recall(mini_run):
 
 
 def test_distributed_cc_matches_driver(mini_run, monkeypatch):
-    """Banding as Ray tasks (forced by a tiny ``DRIVER_CC_MAX_KEYS``) finds
-    the same verified pairs as banding in the driver, so union-find gives
-    the same nodes/edges."""
+    """The fixture's run is below ``DRIVER_CC_MAX_KEYS``, so linking, nodes
+    and edges all ran in the driver. With the bound forced to 10, banding
+    runs as Ray tasks and nodes/edges as two Ray jobs, and the graph row
+    says so. Both placements find the same verified pairs, and both give
+    the oracle's nodes/edges."""
     from portuguese_pt_legal_ner_ray.stages import linking
     from portuguese_pt_legal_ner_ray.state.manifest import Manifest
 
@@ -219,10 +221,65 @@ def test_distributed_cc_matches_driver(mini_run, monkeypatch):
     row = graph_stage(alt, PipelineConfig())
     driver_row = Manifest(mini_run["out"]).read("graph", "all")
     assert (row["link_path"], driver_row["link_path"]) == ("distributed", "driver")
+    assert (row["graph_path"], driver_row["graph_path"]) == ("distributed", "driver")
     assert row["link_pairs"] == driver_row["link_pairs"] > 0
     assert row["link_keys"] == driver_row["link_keys"]
-    for name in ("nodes", "edges"):
-        _assert_table_equal(alt, mini_run["golden"], name)
+    assert row["triples_rows"] == driver_row["triples_rows"] > 10
+    for out in (alt, mini_run["out"]):
+        for name in ("nodes", "edges"):
+            _assert_table_equal(out, mini_run["golden"], name)
+
+
+def test_graph_without_pt_spans_on_both_placements(ray_session, tmp_path, monkeypatch):
+    """A corpus with no pt spans (empty, blank and en pages only) has no
+    mention partials and no triples. Built in the driver (the default
+    bound) and as Ray jobs (a bound of -1, so no row count is below it),
+    ``nodes`` and ``edges`` are one zero-row file each in their schemas,
+    which pyarrow reads with no Ray execution; the driver placement runs
+    none at all."""
+    import pyarrow as pa
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from portuguese_pt_legal_ner_ray.functions.html import render_html
+    from portuguese_pt_legal_ner_ray.stages import linking
+    from portuguese_pt_legal_ner_ray.stages.graph import EDGES_SCHEMA, NODES_SCHEMA
+
+    shard = gen_pages_shard(5, 0, 20)
+    texts = [t for t in shard["text"].to_pylist() if t.strip()][:10]
+    pages = pa.table({
+        "url": pa.array([f"https://nopt.test/{i}" for i in range(len(texts) + 2)]),
+        "html": pa.array([render_html(t) for t in ["", " \n\n ", *texts]], pa.binary()),
+        "lang": pa.array(["pt", "pt", *["en"] * len(texts)]),
+    })
+    golden = run_oracle(pages)
+    assert golden["nodes"].num_rows == golden["edges"].num_rows == 0
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    pq.write_table(pages, inp / "part-00000.parquet")
+    run_kg_pipeline(inp, out, num_partitions=1)
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    for bound, path in ((linking.DRIVER_CC_MAX_KEYS, "driver"), (-1, "distributed")):
+        monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", bound)
+        calls.clear()
+        row = graph_stage(out, PipelineConfig())
+        assert (row["link_path"], row["graph_path"]) == (path, path)
+        assert row["mentions_rows"] == row["triples_rows"] == 0
+        assert (calls == []) == (path == "driver")
+        calls.clear()
+        for name, schema in (("nodes", NODES_SCHEMA), ("edges", EDGES_SCHEMA)):
+            files = list((out / "graph" / name).glob("*.parquet"))
+            assert len(files) == 1, (path, name)
+            got = pq.read_table(files[0])
+            assert got.num_rows == 0 and got.schema.equals(schema), (path, name)
+        assert calls == []
 
 
 def test_bench_pipeline_matches_oracle(mini_run):
@@ -362,7 +419,7 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     the bytes and block count each row's read was sized to (``in_bytes``,
     ``blocks``) and the graph row's link counters sit outside the
     fingerprint too: the rerun leaves every row as it was."""
-    from portuguese_pt_legal_ner_ray.state.manifest import Manifest
+    from portuguese_pt_legal_ner_ray.state.manifest import Manifest, parquet_row_count
 
     out = tmp_path / "out_fp"
     run_kg_pipeline(mini_run["input"], out, num_partitions=2)
@@ -378,8 +435,10 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     assert set(graph_before["phases"]) == {"extract", "link", "nodes", "edges",
                                            "writes"}
     assert {"link_path", "link_keys", "link_pairs", "mentions_rows",
-            "mentions_bytes"} <= set(graph_before)
+            "mentions_bytes", "graph_path", "triples_rows"} <= set(graph_before)
     assert graph_before["link_pairs"] > 0
+    assert graph_before["graph_path"] == "driver"
+    assert graph_before["triples_rows"] == parquet_row_count(out / "graph" / "triples") > 0
     run_kg_pipeline(
         mini_run["input"], out,
         cfg=PipelineConfig(ner_ray_remote_args={"num_cpus": 1}),

@@ -444,28 +444,20 @@ def test_ngram_jaccard_property_random_docs(ray_session):
         assert got_pairs == want, (n, thr)
 
 def test_o_n2_baselines_raise_above_row_cap(ray_session):
-    """The disclosed O(n²) oracle baselines refuse real-corpus inputs
+    """The disclosed O(n²) oracle baseline refuses real-corpus inputs
     (VERDICT r3 item #5) instead of silently materializing on the driver."""
     import pytest
     import ray
 
-    from portuguese_pt_legal_ner_ray.stages.dedup import char_jaccard_pairs
     from portuguese_pt_legal_ner_ray.stages.similarity import embedding_near_dup_pairs
 
-    docs = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(20), pa.int64()),
-        "text": pa.array(["abc"] * 20, pa.string()),
-    }))
-    with pytest.raises(ValueError, match="max_rows"):
-        char_jaccard_pairs(docs, max_rows=10)
     vecs = ray.data.from_arrow(pa.table({
         "vec_id": pa.array(range(20), pa.int64()),
         "embedding": pa.array([[1.0, 0.0]] * 20, pa.list_(pa.float32())),
     }))
     with pytest.raises(ValueError, match="max_rows"):
         embedding_near_dup_pairs(vecs, max_rows=10)
-    # at/below the cap both still run
-    assert char_jaccard_pairs(docs, max_rows=20).count() > 0
+    # at/below the cap it still runs
     assert embedding_near_dup_pairs(vecs, threshold=0.9, max_rows=20).count() > 0
 
 
@@ -851,37 +843,6 @@ def test_ivf_build_spares_live_sibling_build_dir(ray_session, tmp_path):
     assert (live / "cells" / "part.parquet").exists()
     assert not dead.exists()
     assert (index / "centroids.npy").exists()
-
-
-def test_char_jaccard_matches_duckdb(ray_session):
-    """char_jaccard_pairs (the guarded O(n^2) oracle baseline, moved to
-    pytest-only coverage in r5's registry consolidation) == DuckDB
-    jaccard() distinct-character semantics."""
-    import duckdb
-    import itertools
-    import ray
-
-    texts = [
-        "abcdefg", "abcdefgh",          # high char overlap
-        "abcdefg",                      # exact dup
-        "zzzzyyyy", "qwerty",
-        "the quick brown fox", "the quick brown dog",
-    ]
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(len(texts)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    }))
-    from portuguese_pt_legal_ner_ray.stages.dedup import char_jaccard_pairs
-
-    got = char_jaccard_pairs(ds, threshold=0.6).to_pandas()
-    got_pairs = set(zip(got["id_a"], got["id_b"]))
-    want = set()
-    for a, b in itertools.combinations(range(len(texts)), 2):
-        j = duckdb.sql("SELECT jaccard(?, ?)",
-                       params=[texts[a], texts[b]]).fetchone()[0]
-        if j >= 0.6:
-            want.add((a, b))
-    assert want and got_pairs == want
 
 
 def test_ann_topk_routes_index_first(ray_session, tmp_path):
