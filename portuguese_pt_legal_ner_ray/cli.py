@@ -74,7 +74,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                      if k in ("pages", "paragraphs", "link_keys", "link_pairs",
                               "nodes", "edges", "spans", "triples", "errors",
                               "mentions", "mentions_rows", "mentions_bytes",
-                              "link_path", "graph_path", "triples_rows",
+                              "link_path", "graph_path",
                               "phases", "wall_s", "in_bytes", "blocks")})
         print(json.dumps(line, sort_keys=True))
     if getattr(args, "confusion_gold", None):

@@ -151,6 +151,14 @@ def _whole(rows: pa.Table) -> list[pa.Table]:
     return [rows]
 
 
+def _empty_file(d: Path, schema: pa.Schema) -> None:
+    """One zero-row file in ``schema`` (``empty.parquet``) into directory
+    ``d`` if it holds no Parquet file, so its table can be read and no Ray
+    execution has to find its columns."""
+    if not any(d.glob("*.parquet")):
+        pq.write_table(schema.empty_table(), d / "empty.parquet")
+
+
 class TablesSink(Datasink[None]):
     """A Ray Data sink that writes each write task's rows as one Parquet
     file per table.
@@ -159,9 +167,7 @@ class TablesSink(Datasink[None]):
     rows of all the blocks a task gets (one Arrow table) into each table's
     rows, in that order (by default the one table is the rows). A task
     writes only its tables with rows. Once the job has finished,
-    ``on_write_complete`` writes one zero-row file in the table's schema
-    (``empty.parquet``) into every directory that has no file, so each
-    table can be read and no Ray execution has to find its columns.
+    ``on_write_complete`` calls ``_empty_file`` on every directory.
     """
 
     def __init__(self, tables: list[tuple[Path, pa.Schema]],
@@ -187,8 +193,7 @@ class TablesSink(Datasink[None]):
 
     def on_write_complete(self, write_result) -> None:
         for d, schema in zip(self.dirs, self.schemas):
-            if not any(d.glob("*.parquet")):
-                pq.write_table(schema.empty_table(), d / "empty.parquet")
+            _empty_file(d, schema)
 
 
 def ner_map_batches_kwargs(cfg: PipelineConfig) -> dict:
@@ -373,29 +378,29 @@ def extract_partition(files: list[str], out_dir: Path, part: str,
     return {**_partition_row(files, out_dir, part, input_sig), **reads}
 
 
-# each graph table: its input directory under out_dir, the input's schema
-# and the columns it reads, its schema, and its driver and Ray builders
-_GRAPH_TABLES = {
-    "nodes": ("mentions", MENTIONS_SCHEMA, ["key", "surface", "n"],
-              NODES_SCHEMA, nodes_table, build_nodes),
-    "edges": ("graph/triples", TRIPLES_SCHEMA,
-              ["subj", "pred", "obj", "subj_label", "obj_label"],
-              EDGES_SCHEMA, edges_table, build_edges),
+# each graph table: its input directory under out_dir (an ``NER_TABLES``
+# table), the columns it reads and its schema; both placements read these
+_GRAPH_INPUTS = {
+    "nodes": ("mentions", ["key", "surface", "n"], NODES_SCHEMA),
+    "edges": ("graph/triples", ["subj", "pred", "obj", "subj_label", "obj_label"],
+              EDGES_SCHEMA),
 }
 
 
 def _driver_graph(out_dir: Path, mapping: dict[str, str]) -> dict[str, float]:
     """``graph/nodes`` and ``graph/edges`` built in this process, one
-    Parquet file each (``empty.parquet`` in its schema when it has no
-    rows); -> each table's wall seconds."""
+    Parquet file each (``_empty_file`` when it has no rows); -> each
+    table's wall seconds."""
     phases = {}
-    for name, (src, src_schema, cols, schema, build, _) in _GRAPH_TABLES.items():
+    for name, build in (("nodes", nodes_table), ("edges", edges_table)):
         start = time.perf_counter()
-        rows = build(linking.driver_read(out_dir / src, src_schema, cols), mapping)
+        src, cols, schema = _GRAPH_INPUTS[name]
+        rows = build(linking.driver_read(out_dir / src, NER_TABLES[src], cols), mapping)
         d = out_dir / "graph" / name
         d.mkdir(parents=True)
-        pq.write_table(rows.cast(schema),
-                       d / ("part-00000.parquet" if rows.num_rows else "empty.parquet"))
+        if rows.num_rows:
+            pq.write_table(rows.cast(schema), d / "part-00000.parquet")
+        _empty_file(d, schema)
         phases[name] = time.perf_counter() - start
     return phases
 
@@ -406,11 +411,13 @@ def _ray_graph(out_dir: Path, mapping: dict[str, str]) -> dict[str, float]:
     # broadcast only non-identity entries: dicts are not zero-copy in the
     # object store; lookups default to identity
     mapping_ref = ray.put(mapping)
-    jobs = [(build(sized_read_parquet(str(out_dir / src), columns=cols), mapping_ref),
-             TablesSink([(out_dir / "graph" / name, schema)]))
-            for name, (src, _, cols, schema, _, build) in _GRAPH_TABLES.items()]
+    jobs = []
+    for name, build in (("nodes", build_nodes), ("edges", build_edges)):
+        src, cols, schema = _GRAPH_INPUTS[name]
+        rows = build(sized_read_parquet(str(out_dir / src), columns=cols), mapping_ref)
+        jobs.append((rows, TablesSink([(out_dir / "graph" / name, schema)])))
     return {name: end - start
-            for name, (start, end) in zip(_GRAPH_TABLES, _run_writes(jobs))}
+            for name, (start, end) in zip(_GRAPH_INPUTS, _run_writes(jobs))}
 
 
 def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
@@ -434,32 +441,31 @@ def graph_stage(out_dir: Path, cfg: PipelineConfig) -> dict:
     Returns the graph manifest row: row counts, the link counters
     (``link_path``, ``link_keys``, ``link_pairs``, and the rows and bytes
     of ``mentions/`` it read), ``graph_path`` (``"driver"`` or
-    ``"distributed"``), ``triples_rows``, the ``in_bytes`` of the two
-    inputs and the ``blocks`` they were read as (one table each in the
-    driver), and per-phase wall seconds: ``link``, ``nodes``, ``edges`` and
-    ``writes`` for both.
+    ``"distributed"``), the ``in_bytes`` of the two inputs and the
+    ``blocks`` they were read as (one table each in the driver), and
+    per-phase wall seconds: ``link``, ``nodes``, ``edges`` and ``writes``
+    for both.
     """
     graph = out_dir / "graph"
-    for name in _GRAPH_TABLES:
+    for name in _GRAPH_INPUTS:
         if (graph / name).exists():
             shutil.rmtree(graph / name)
     t0 = time.perf_counter()
     mapping, link_stats = linking.link(out_dir / "mentions", cfg.linking)
     phases = {"link": time.perf_counter() - t0}
-    triples_rows = parquet_row_count(graph / "triples")
-    plans = [read_plan(str(out_dir / src)) for src, *_ in _GRAPH_TABLES.values()]
-    in_driver = max(link_stats["mentions_rows"], triples_rows) <= linking.DRIVER_CC_MAX_KEYS
+    triples = parquet_row_count(graph / "triples")
+    plans = [read_plan(str(out_dir / src)) for src, _, _ in _GRAPH_INPUTS.values()]
+    in_driver = max(link_stats["mentions_rows"], triples) <= linking.DRIVER_CC_MAX_KEYS
     t = time.perf_counter()
     phases.update((_driver_graph if in_driver else _ray_graph)(out_dir, mapping))
     phases["writes"] = time.perf_counter() - t
     return {
         **link_stats,
         "graph_path": "driver" if in_driver else "distributed",
-        "triples_rows": triples_rows,
         "in_bytes": sum(b for b, _ in plans),
         "blocks": len(plans) if in_driver else sum(n for _, n in plans),
         "phases": {k: round(v, 3) for k, v in phases.items()},
-        "triples": triples_rows,
+        "triples": triples,
         **{name: parquet_row_count(graph / name)
            for name in ("nodes", "edges", "spans", "errors")},
     }
@@ -505,9 +511,9 @@ def run_kg_pipeline(
 
     The graph row's link counters (``link_path``, ``link_keys``,
     ``link_pairs``, ``mentions_rows``, ``mentions_bytes``), where the graph
-    tables were built (``graph_path``), ``triples_rows``, its reads'
-    ``in_bytes`` and ``blocks``, and per-phase ``phases`` sit next to
-    ``plan_fp``, outside it. Tests force the Ray side of linking and of the
+    tables were built (``graph_path``), its reads' ``in_bytes`` and
+    ``blocks``, and per-phase ``phases`` sit next to ``plan_fp``, outside
+    it. Tests force the Ray side of linking and of the
     graph tables by monkeypatching ``linking.DRIVER_CC_MAX_KEYS``.
 
     ``fail_after_partitions`` injects a crash after N extract partitions —

@@ -55,8 +55,12 @@ from .shuffle import exchange, grouped_agg, grouped_count, worker_cached
 # linking was faster at every measured size at 4 CPUs (8.6 vs 15.3 s at 20k
 # keys, 68 vs 153 s at 200k, 355 vs 965 s at 1M;
 # scripts/bench_scale_paths.py --link --keys N, BASELINE.md), and the gap
-# grew with size; no crossover was found, so the bound stays at 2M. Read at
-# call time, so tests force the Ray side with a tiny override.
+# grew with size. The driver build of nodes and edges was faster too at 4
+# CPUs, up to the bound (0.10 vs 0.40 s at 20k rows per table, 0.92 vs
+# 2.18 s at 200k, 5.3 vs 8.4 s at 1M, 10.6 vs 20.3 s at 2M; best of two
+# each; scripts/bench_scale_paths.py --graph --rows N, BASELINE.md). No
+# crossover was found, so the bound stays at 2M. Read at call time, so
+# tests force the Ray side with a tiny override.
 DRIVER_CC_MAX_KEYS = 2_000_000
 _LINK_LABEL_ARR = pa.array(sorted(LINK_LABELS), pa.string())
 

@@ -13,11 +13,17 @@
 3. ``--ann-index``: persisted-index query set vs exact brute_force_topk
    on 512k vectors (see bench_ann_index_vs_brute docstring for the
    small-table caveat).
+4. ``--graph``: ``graph/nodes`` and ``graph/edges`` built in the driver
+   vs as two Ray jobs (the placements ``graph_stage`` chooses between at
+   ``DRIVER_CC_MAX_KEYS`` rows) over 200k (``--rows N``) synthetic
+   mention partial rows and as many triples; asserts equal tables and
+   prints each side's wall time (see bench_graph docstring).
 
 Results are recorded in BASELINE.md. Owns its Ray session (script entry).
 
     python scripts/bench_scale_paths.py --link --edges-skew [--cpus 32]
     python scripts/bench_scale_paths.py --link --keys 20000 --cpus 4
+    python scripts/bench_scale_paths.py --graph --rows 20000 --cpus 4
 """
 
 from __future__ import annotations
@@ -112,6 +118,108 @@ def bench_link(n_keys: int = 200_000) -> dict:
     assert out["driver"]["link_pairs"] == out["distributed"]["link_pairs"]
     out["components_merged"] = len(set(maps["driver"].values()))
     return out
+
+
+def _graph_inputs(n_rows: int) -> tuple[Path, dict[str, str]]:
+    """A run directory holding ``n_rows`` mention partial rows under
+    ``mentions/`` and ``n_rows`` triples under ``graph/triples`` (4
+    ``part=<p>`` partitions each), and a non-identity key -> component map
+    shaped like ``linking.link``'s. The partials cover ``n_rows // 2``
+    entities, each seen in two partitions; entities come in groups of 4
+    spelling variants of one random name, each group one component. Each
+    triple joins two entities drawn at random, so nearly every triple is
+    its own edge and ``canonize`` keys about as many distinct surfaces as
+    there are entities: the most per-row work either placement can get."""
+    import shutil
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from portuguese_pt_legal_ner_ray.functions.normalize import entity_key
+    from portuguese_pt_legal_ner_ray.stages.extract import (
+        MENTIONS_SCHEMA,
+        TRIPLES_SCHEMA,
+    )
+
+    rng = np.random.default_rng(13)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    labels = ("PER", "ORG", "LOC")
+    n_ent = max(4, n_rows // 2) // 4 * 4
+    surfaces, ent_labels, mapping = [], [], {}
+    for g in range(n_ent // 4):
+        base = "".join(rng.choice(letters, 14)).title()
+        label = labels[g % 3]
+        group = [f"{base}{v}" for v in ("", " A", " Sá", " Filho")]
+        keys = [entity_key(label, s) for s in group]
+        mapping.update((k, min(keys)) for k in keys if k != min(keys))
+        surfaces += group
+        ent_labels += [label] * 4
+    surfaces = np.array(surfaces, dtype=object)
+    ent_labels = np.array(ent_labels, dtype=object)
+    keys = np.array([entity_key(l, s) for l, s in zip(ent_labels, surfaces)], dtype=object)
+    out = SHM / f"graph_{n_rows}"
+    shutil.rmtree(out, ignore_errors=True)
+    # every entity in two partitions: rows i and i + n_ent of the tiling
+    ent = np.resize(np.arange(n_ent), n_rows)
+    subj, obj = rng.integers(0, n_ent, n_rows), rng.integers(0, n_ent, n_rows)
+    preds = np.array(["cites", "amends", "mentions", "located_in"], dtype=object)
+    tables = {
+        "mentions": (MENTIONS_SCHEMA, {
+            "key": keys[ent], "label": ent_labels[ent], "surface": surfaces[ent],
+            "n": rng.integers(1, 5, n_rows)}),
+        "graph/triples": (TRIPLES_SCHEMA, {
+            "subj": surfaces[subj], "pred": preds[rng.integers(0, 4, n_rows)],
+            "obj": surfaces[obj], "subj_label": ent_labels[subj],
+            "obj_label": ent_labels[obj],
+            "url": np.array([f"https://t/{i // 8}" for i in range(n_rows)], dtype=object),
+            "para_idx": (np.arange(n_rows) % 8).astype(np.int32)}),
+    }
+    step = -(-n_rows // 4)
+    for name, (schema, cols) in tables.items():
+        for p in range(4):
+            d = out / name / f"part={p:05d}"
+            d.mkdir(parents=True)
+            part = {c: v[p * step:(p + 1) * step] for c, v in cols.items()}
+            pq.write_table(pa.table(part, schema=schema), d / "part.parquet")
+    return out, mapping
+
+
+def bench_graph(n_rows: int, reps: int = 2) -> dict:
+    """``graph/nodes`` and ``graph/edges`` built in the driver
+    (``kg._driver_graph``) vs as two Ray jobs (``kg._ray_graph``): the two
+    placements ``graph_stage`` chooses between at
+    ``linking.DRIVER_CC_MAX_KEYS`` rows, timed alternately ``reps`` times
+    each over the same ``_graph_inputs`` and the same map. Linking is left
+    out (``--link`` times it). Asserts both placements write the same
+    rows."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from portuguese_pt_legal_ner_ray.pipelines import kg
+
+    out, mapping = _graph_inputs(n_rows)
+    builders = {"driver": kg._driver_graph, "distributed": kg._ray_graph}
+    secs: dict[str, list[float]] = {path: [] for path in builders}
+    tables = {}
+    for _ in range(reps):
+        for path, build in builders.items():
+            for name in ("nodes", "edges"):
+                shutil.rmtree(out / "graph" / name, ignore_errors=True)
+            t0 = time.perf_counter()
+            build(out, mapping)
+            secs[path].append(round(time.perf_counter() - t0, 2))
+            tables[path] = {name: pq.read_table(out / "graph" / name)
+                            for name in ("nodes", "edges")}
+    for name in ("nodes", "edges"):
+        got = [t[name].sort_by([(c, "ascending") for c in t[name].column_names])
+               for t in tables.values()]
+        assert got[0].equals(got[1]), f"{name}: graph placements disagree"
+    shutil.rmtree(out)
+    return {"rows": n_rows, "nodes": tables["driver"]["nodes"].num_rows,
+            "edges": tables["driver"]["edges"].num_rows,
+            **{f"{path}_sec": v for path, v in secs.items()}}
 
 
 def bench_ann_index_vs_brute(cpus: int) -> dict:
@@ -242,6 +350,11 @@ def main():
         if "--keys" in sys.argv:
             keys = int(sys.argv[sys.argv.index("--keys") + 1])
         out[f"link_{keys // 1000}k"] = bench_link(keys)
+    if "--graph" in sys.argv:
+        rows = 200_000
+        if "--rows" in sys.argv:
+            rows = int(sys.argv[sys.argv.index("--rows") + 1])
+        out[f"graph_{rows // 1000}k"] = bench_graph(rows)
     if "--edges-skew" in sys.argv:
         out["edges_skew_5m"] = bench_edges_skew()
     if "--ann-index" in sys.argv:

@@ -232,14 +232,24 @@ def test_crawl_runs_one_execution_per_partition(mini_run, tmp_path, monkeypatch)
     assert _crawl_append_resume(inp, out, calls) == [4, 1, 0]
 
 
-def test_ray_graph_path_runs_two_executions(mini_run, tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [4, 1])
+def test_ray_graph_path_runs_two_executions(mini_run, tmp_path, monkeypatch, kg_reads,
+                                            cpus):
     """Above the bound (forced to 10 rows) the graph stage runs ``nodes``
-    and ``edges`` as two Ray jobs, whose writes overlap in time at 4 CPUs.
-    Banding then runs as Ray tasks too; counting the executions inside
-    ``linking.link`` apart, a crawl takes 4 + 2, an append 1 + 2 and a
-    resume none."""
+    and ``edges`` as two Ray jobs. Banding then runs as Ray tasks too;
+    counting the executions inside ``linking.link`` apart, a crawl takes
+    4 + 2, an append 1 + 2 and a resume none. Each graph stage reads
+    ``mentions/`` and ``graph/triples`` through ``sized_read_parquet`` with
+    no block floor, so ``nodes`` and ``edges`` come out of one block as one
+    Parquet file each. At 4 Ray CPUs the two writes overlap in time; at 1
+    CPU (reported to the pipeline from the 4-CPU session) no two writes
+    overlap."""
     import shutil
 
+    import ray
+
+    if cpus == 1:
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     monkeypatch.setattr(linking, "DRIVER_CC_MAX_KEYS", 10)
     spans = _spy_writes(monkeypatch)
     calls = _count_executions(monkeypatch)
@@ -258,4 +268,14 @@ def test_ray_graph_path_runs_two_executions(mini_run, tmp_path, monkeypatch):
     counts = _crawl_append_resume(inp, out, calls)
     assert len(in_link) == 2 and all(n > 0 for n in in_link)
     assert counts == [4 + 2 + in_link[0], 1 + 2 + in_link[1], 0]
-    assert _overlap(*(spans[str(out / "graph" / t)] for t in ("nodes", "edges")))
+    graph_reads = [r for r in kg_reads["sized"] if not isinstance(r["paths"], list)]
+    assert graph_reads == [{"paths": str(out / "mentions"), "min_blocks": 1},
+                           {"paths": str(out / "graph" / "triples"), "min_blocks": 1}] * 2
+    for table in ("nodes", "edges"):
+        assert len(list((out / "graph" / table).glob("*.parquet"))) == 1, table
+    graph = [spans[str(out / "graph" / t)] for t in ("nodes", "edges")]
+    if cpus > 1:
+        assert _overlap(*graph)
+    else:
+        ordered = sorted(spans.values())
+        assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))

@@ -224,7 +224,7 @@ def test_distributed_cc_matches_driver(mini_run, monkeypatch):
     assert (row["graph_path"], driver_row["graph_path"]) == ("distributed", "driver")
     assert row["link_pairs"] == driver_row["link_pairs"] > 0
     assert row["link_keys"] == driver_row["link_keys"]
-    assert row["triples_rows"] == driver_row["triples_rows"] > 10
+    assert row["triples"] == driver_row["triples"] > 10
     for out in (alt, mini_run["out"]):
         for name in ("nodes", "edges"):
             _assert_table_equal(out, mini_run["golden"], name)
@@ -271,7 +271,7 @@ def test_graph_without_pt_spans_on_both_placements(ray_session, tmp_path, monkey
         calls.clear()
         row = graph_stage(out, PipelineConfig())
         assert (row["link_path"], row["graph_path"]) == (path, path)
-        assert row["mentions_rows"] == row["triples_rows"] == 0
+        assert row["mentions_rows"] == row["triples"] == 0
         assert (calls == []) == (path == "driver")
         calls.clear()
         for name, schema in (("nodes", NODES_SCHEMA), ("edges", EDGES_SCHEMA)):
@@ -435,10 +435,10 @@ def test_remote_args_excluded_from_resume_fingerprint(mini_run, tmp_path):
     assert set(graph_before["phases"]) == {"extract", "link", "nodes", "edges",
                                            "writes"}
     assert {"link_path", "link_keys", "link_pairs", "mentions_rows",
-            "mentions_bytes", "graph_path", "triples_rows"} <= set(graph_before)
+            "mentions_bytes", "graph_path"} <= set(graph_before)
     assert graph_before["link_pairs"] > 0
     assert graph_before["graph_path"] == "driver"
-    assert graph_before["triples_rows"] == parquet_row_count(out / "graph" / "triples") > 0
+    assert graph_before["triples"] == parquet_row_count(out / "graph" / "triples") > 0
     run_kg_pipeline(
         mini_run["input"], out,
         cfg=PipelineConfig(ner_ray_remote_args={"num_cpus": 1}),
